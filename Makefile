@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race chaos fleet-smoke obs-smoke registry-smoke cover bench bench-smoke fuzz-smoke selftest reproduce clean
+.PHONY: all build test vet race race-multicore chaos fleet-smoke obs-smoke registry-smoke cover bench bench-smoke fuzz-smoke selftest reproduce clean
 
 all: build vet test
 
@@ -16,13 +16,21 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Every package with its own goroutine pool: the bulk all-pairs executor,
-# the batch-GCD tree engine (both tree backends), the attack pipeline
-# that drives both, the lock-free metrics layer, the lane-batched kernel
-# (shared per-worker arenas), the subquadratic multiplier + generic tree
-# builder they all multiply through, the streaming registry (findings
-# forwarder + node store), and the public facade.
+# the batch-GCD tree engine, the attack pipeline that drives both, the
+# lock-free metrics layer, the lane-batched kernel (shared per-worker
+# arenas), the word arithmetic the kernels run on, the math/big tree
+# builder and subproduct cache the product-based engines share, the
+# streaming registry (findings forwarder + node store), and the public
+# facade.
+RACE_PKGS = ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/fleet/ ./internal/registry/ .
+
 race:
-	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/fleet/ ./internal/registry/ .
+	$(GO) test -race $(RACE_PKGS)
+
+# The same packages on two cores, three times over: ordering bugs that a
+# one-CPU run serializes away show up here.
+race-multicore:
+	GOMAXPROCS=2 $(GO) test -race -count=3 $(RACE_PKGS)
 
 # Fault-injection hardening: the chaos suite (kill/resume/panic
 # campaigns plus the fleet partition/crash/poison campaigns,
@@ -80,16 +88,16 @@ bench-smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkHybrid$$' -benchtime=1x ./internal/bulk/
 	$(GO) test -short -run '^$$' -bench 'BenchmarkHybridTraceOverhead$$' -benchtime=1x ./internal/bulk/
 	GOMAXPROCS=1 $(GO) test -short -run '^$$' -bench 'BenchmarkLaneKernel$$' -benchtime=1x ./internal/lanes/
-	GOMAXPROCS=1 $(GO) test -short -run '^$$' -bench 'BenchmarkTreeMul$$' -benchtime=1x ./internal/mpnat/
 	mkdir -p results
 	$(GO) run ./cmd/gcdbench -table 4,5 -pairs 100 -moduli 96 -cpupairs 30 \
 	    -sizes 256,512 -json results/bench-smoke.json
 	$(GO) run ./cmd/gcdbench -crossover -engine pairs,batch,hybrid \
 	    -sizes 256 -json results/bench-smoke-engines.json
 
-# 30-second budget per fuzzer over the arithmetic core: the multiplication
-# dispatch, division, the fused update, and hex parsing, each differential
-# against math/big (the corpus seeds pin the dispatch boundaries).
+# 30-second budget per fuzzer over the arithmetic core: schoolbook
+# multiplication, division, the fused update, and hex parsing, each
+# differential against math/big (the corpus seeds pin carry-extreme and
+# unbalanced operand shapes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulMatchesBig -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/

@@ -204,8 +204,8 @@ func WithTileSize(t int) Option { return func(a *Attack) { a.tileSize = t } }
 // rebuilt on demand. 0 (the default) means unlimited.
 func WithSubproductBudget(bytes int64) Option { return func(a *Attack) { a.subprodBudget = bytes } }
 
-// WithQuarantine makes the pairs and hybrid engines skip zero or even
-// moduli and report them in Report.Quarantined instead of failing the
+// WithQuarantine makes the pairs and hybrid engines skip zero, even or
+// oversized (above 16384 bits) moduli and report them in Report.Quarantined instead of failing the
 // run. EngineBatch rejects it (the product tree cannot excise inputs).
 func WithQuarantine() Option { return func(a *Attack) { a.quarantine = true } }
 
@@ -259,7 +259,8 @@ type BadPair struct {
 }
 
 // QuarantinedModulus is one input modulus excluded from a run under
-// WithQuarantine, with the validation reason ("zero", "even").
+// WithQuarantine, with the validation reason ("zero", "even",
+// "oversize").
 type QuarantinedModulus struct {
 	Index  int
 	Reason string

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bulkgcd/internal/corpus"
 )
 
 // apiCorpus builds a small planted corpus plus the set of indices the
@@ -207,6 +209,39 @@ func TestAttackAPIQuarantine(t *testing.T) {
 	}
 	if len(rep.Quarantined) != 2 {
 		t.Fatalf("quarantined %d moduli, want 2: %v", len(rep.Quarantined), rep.Quarantined)
+	}
+	checkBroken(t, rep, want)
+}
+
+// oddOfBits returns 2^(bits-1) + 1, an odd number of exactly bits bits.
+func oddOfBits(bits int) *big.Int {
+	n := new(big.Int).Lsh(big.NewInt(1), uint(bits-1))
+	return n.Add(n, big.NewInt(1))
+}
+
+// TestAttackAPIModulusCeiling: a modulus of exactly the intake ceiling
+// is scanned; one bit more fails a plain run and is quarantined, with
+// reason "oversize", under WithQuarantine.
+func TestAttackAPIModulusCeiling(t *testing.T) {
+	moduli, want := apiCorpus(t)
+	in := append(append([]*big.Int{}, moduli...), oddOfBits(corpus.MaxModulusBits))
+	rep, err := New().Run(context.Background(), in)
+	if err != nil {
+		t.Fatalf("modulus at the ceiling rejected: %v", err)
+	}
+	checkBroken(t, rep, want)
+
+	in = append(in, oddOfBits(corpus.MaxModulusBits+1))
+	if _, err := New().Run(context.Background(), in); err == nil || !strings.Contains(err.Error(), "oversize") {
+		t.Fatalf("modulus over the ceiling: err = %v, want an oversize error", err)
+	}
+	rep, err = New(WithQuarantine()).Run(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQ := []QuarantinedModulus{{Index: len(in) - 1, Reason: "oversize"}}
+	if fmt.Sprint(rep.Quarantined) != fmt.Sprint(wantQ) {
+		t.Fatalf("quarantined %v, want %v", rep.Quarantined, wantQ)
 	}
 	checkBroken(t, rep, want)
 }

@@ -742,9 +742,28 @@ func TestChaosFleetTraceContinuity(t *testing.T) {
 	}
 }
 
-// TestChaosFleetStraggler plants a faultinject delay on one cell and
-// asserts the coordinator's straggler detector flags exactly that cell
-// while the scan still completes with oracle-identical findings.
+// tickingTransport advances a fake clock by step before forwarding
+// each Complete, so every cell's coordinator-side duration is exactly
+// the steps taken while it was leased.
+type tickingTransport struct {
+	fleet.Transport
+	clock *fleet.FakeClock
+	step  time.Duration
+}
+
+func (t tickingTransport) Complete(ctx context.Context, req fleet.CompleteRequest) (*fleet.CompleteResponse, error) {
+	t.clock.Advance(t.step)
+	return t.Transport.Complete(ctx, req)
+}
+
+// TestChaosFleetStraggler holds one cell open and asserts the
+// coordinator's straggler detector flags exactly that cell while the
+// scan still completes with oracle-identical findings. The coordinator
+// runs on a fake clock: one worker computes the other cells one at a
+// time, each taking exactly one clock step, so the median cell takes
+// one step; the held cell is then pushed far past 4x the median by
+// advancing the clock (well inside the lease TTL), and a status
+// request sweeps it. Nothing depends on how fast the host runs.
 func TestChaosFleetStraggler(t *testing.T) {
 	r := rand.New(rand.NewSource(2009))
 	nats, _ := chaosCorpus(t, r, 8900)
@@ -759,36 +778,62 @@ func TestChaosFleetStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The last cell sleeps 1.5s; the rest finish in microseconds, so the
-	// median forms long before the sleeper passes 4x median, and the
-	// other worker's requests (or the sleeper's own heartbeats at TTL/3 =
-	// 1s) sweep it into the flagged state well before it completes.
-	slow := hdr.Units - 1
+	slow := hdr.Units - 1 // leased last, after every other cell completed
+	clock := fleet.NewFakeClock(time.Unix(1_700_000_000, 0))
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Header: hdr, LeaseTTL: 3 * time.Second, Metrics: obs.NewRegistry(),
+		Header: hdr, LeaseTTL: time.Hour, Clock: clock.Now, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := fleet.NewLoopback(coord)
 	ctx := context.Background()
-	chaosFleetWorkers(t, ctx, 2, func(i int) fleet.WorkerConfig {
-		wcfg := opt.BulkConfig()
-		wcfg.Metrics = obs.NewRegistry()
-		plan := faultinject.NewPlan()
-		plan.SlowUnit = slow
-		plan.SlowFor = 1500 * time.Millisecond
-		wcfg.Fault = plan.Hook()
-		return fleet.WorkerConfig{
-			ID: fmt.Sprintf("w%d", i), Transport: lb, Moduli: nats, Config: wcfg,
-			Backoff: fleet.Backoff{Base: time.Millisecond, Attempts: 50},
+	release := make(chan struct{})
+	wcfg := opt.BulkConfig()
+	wcfg.Metrics = obs.NewRegistry()
+	wcfg.Fault = &faultinject.Hook{Block: func(u int) {
+		if u == slow {
+			<-release
 		}
-	})
-	waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	err = coord.Wait(waitCtx)
-	cancel()
-	if err != nil {
-		t.Fatalf("scan never finished: %v", err)
+	}}
+	workerDone := make(chan error, 1)
+	go func() {
+		_, err := fleet.RunWorker(ctx, fleet.WorkerConfig{
+			ID:        "w0",
+			Transport: tickingTransport{Transport: fleet.NewLoopback(coord), clock: clock, step: time.Millisecond},
+			Moduli:    nats, Config: wcfg,
+			Backoff: fleet.Backoff{Base: time.Millisecond, Attempts: 50},
+		})
+		workerDone <- err
+	}()
+
+	// Wait (in real time, polling) until the held cell is the only one
+	// left and it is leased.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st, err := coord.Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Completed == hdr.Units-1 && st.Leased == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("held cell never leased: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// 60000 steps: far past 4x the median, well inside the lease TTL.
+	// Any request then sweeps the held cell.
+	clock.Advance(time.Minute)
+	if _, err := coord.Status(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-workerDone; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if !coord.Done() {
+		t.Fatal("worker exited before the scan finished")
 	}
 
 	cells, err := coord.Cells(ctx)
@@ -797,11 +842,11 @@ func TestChaosFleetStraggler(t *testing.T) {
 	}
 	for _, cs := range cells.Cells {
 		if cs.Straggler != (cs.Unit == slow) {
-			t.Fatalf("cell %d straggler=%v, want flagged only on the delayed cell %d", cs.Unit, cs.Straggler, slow)
+			t.Fatalf("cell %d straggler=%v, want flagged only on the held cell %d", cs.Unit, cs.Straggler, slow)
 		}
 	}
-	if got := coord.MergedSnapshot().Counters["fleet_stragglers_total"]; got < 1 {
-		t.Fatalf("fleet_stragglers_total = %d, want >= 1", got)
+	if got := coord.MergedSnapshot().Counters["fleet_stragglers_total"]; got != 1 {
+		t.Fatalf("fleet_stragglers_total = %d, want 1", got)
 	}
 	rep := assembleFleet(t, nats, opt, coord)
 	sameBroken(t, "straggler", rep.Broken, oracle.Broken)

@@ -339,7 +339,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
+		// Drain on exit so a scrape in flight gets its whole response.
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(ctx) // exiting either way; a timed-out drain only cuts a scrape
+		}()
 		fmt.Fprintf(stderr, "rsafactor: status on http://%s/metrics\n", srv.Addr())
 	}
 	var rpt *obs.Report

@@ -15,11 +15,11 @@ import (
 	"bulkgcd/internal/batchgcd"
 	"bulkgcd/internal/bulk"
 	"bulkgcd/internal/checkpoint"
+	"bulkgcd/internal/corpus"
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/rsakey"
-	"bulkgcd/internal/subprod"
 )
 
 // Options configures an attack run. The cross-engine surface (Workers,
@@ -57,10 +57,11 @@ type Options struct {
 	// overrides Engine.
 	BatchGCD bool
 
-	// Quarantine makes the pairs and hybrid engines skip zero/even moduli
-	// and report them per-index in Report.Quarantined instead of failing
-	// the whole run. Ignored in batch mode (the product tree has no way
-	// to excise an input without changing the fingerprint of the run).
+	// Quarantine makes the pairs and hybrid engines skip zero, even and
+	// oversized moduli and report them per-index in Report.Quarantined
+	// instead of failing the whole run. Ignored in batch mode (the
+	// product tree has no way to excise an input without changing the
+	// fingerprint of the run).
 	Quarantine bool
 
 	// TileSize is the hybrid engine's tile width; 0 means 64. Findings
@@ -79,12 +80,6 @@ type Options struct {
 
 	// LaneWidth is the lanes kernel's lane count; 0 means the default.
 	LaneWidth int
-
-	// Tree selects the batch engine's product/remainder tree arithmetic
-	// (the pairs and hybrid engines ignore it): subprod.BackendBig (the
-	// default) or subprod.BackendNat, the packed-word subquadratic mpnat
-	// path. Findings are identical across backends.
-	Tree subprod.TreeBackend
 }
 
 // EngineKind resolves the selected engine, honoring the deprecated
@@ -322,9 +317,12 @@ func runBatch(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report, e
 		if m == nil || m.IsZero() {
 			return nil, fmt.Errorf("attack: modulus %d is zero", i)
 		}
+		if m.BitLen() > corpus.MaxModulusBits {
+			return nil, fmt.Errorf("attack: modulus %d is oversize", i)
+		}
 		big_[i] = m.ToBig()
 	}
-	cfg := batchgcd.Config{Config: opt.Config, Tree: opt.Tree}
+	cfg := batchgcd.Config{Config: opt.Config}
 	start := time.Now()
 	findings, err := batchgcd.RunContext(ctx, big_, cfg)
 	if err != nil {

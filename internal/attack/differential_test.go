@@ -10,16 +10,21 @@ import (
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/rsakey"
-	"bulkgcd/internal/subprod"
 )
 
 // differentialCorpus builds a seeded corpus exercising every finding
 // class the engines must agree on: planted shared-prime pairs, a prime
 // shared across three moduli, a duplicated modulus, and coprime fillers.
 func differentialCorpus(t *testing.T, seed int64) []*mpnat.Nat {
+	return differentialCorpusSized(t, seed, 14, 128)
+}
+
+// differentialCorpusSized is differentialCorpus over count keys of the
+// given bit size (plus the triple member and the duplicate).
+func differentialCorpusSized(t *testing.T, seed int64, count, bits int) []*mpnat.Nat {
 	t.Helper()
 	c, err := rsakey.GenerateCorpus(rsakey.CorpusSpec{
-		Count: 14, Bits: 128, WeakPairs: 2, Seed: seed,
+		Count: count, Bits: bits, WeakPairs: 2, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +34,7 @@ func differentialCorpus(t *testing.T, seed int64) []*mpnat.Nat {
 	// Extend planted pair 0 into a shared-prime triple.
 	r := rand.New(rand.NewSource(seed + 1000))
 	p := c.Planted[0].P
-	q := rsakey.GeneratePrime(r, 64)
+	q := rsakey.GeneratePrime(r, bits/2)
 	moduli = append(moduli, mpnat.FromBig(new(big.Int).Mul(p, q)))
 
 	// Duplicate a clean modulus (one outside every planted pair).
@@ -109,18 +114,17 @@ func TestDifferentialEngines(t *testing.T) {
 					})
 				}
 			}
+			// The batch engine's trees run on math/big, the label's
+			// "tree=big".
 			for _, w := range []int{1, 3} {
-				for _, tree := range []subprod.TreeBackend{subprod.BackendBig, subprod.BackendNat} {
-					combos = append(combos, combo{
-						name: fmt.Sprintf("batch/workers=%d/tree=%s", w, tree),
-						opt: Options{
-							Config:   engine.Config{Workers: w},
-							Engine:   engine.Batch,
-							Tree:     tree,
-							Exponent: rsakey.DefaultExponent,
-						},
-					})
-				}
+				combos = append(combos, combo{
+					name: fmt.Sprintf("batch/workers=%d/tree=big", w),
+					opt: Options{
+						Config:   engine.Config{Workers: w},
+						Engine:   engine.Batch,
+						Exponent: rsakey.DefaultExponent,
+					},
+				})
 			}
 			for _, tile := range []int{1, 4, 32, len(moduli)} {
 				for _, w := range []int{1, 8} {
@@ -241,21 +245,17 @@ func checkReportsIdentical(t *testing.T, a, b *Report) {
 	}
 }
 
-// TestDifferentialEnginesSubquadraticTiles is the end-to-end gate of
-// the subquadratic multiplication backbone: with the mpnat cutoffs
-// lowered to (4, 10) words, the hybrid engine's tile subproducts and
-// the batch engine's nat-backed trees cross the Karatsuba and Toom-3
-// dispatch boundaries even on this 128-bit corpus (a full-corpus tile
-// multiplies ~32x32-word operands at the top of the balanced
-// reduction). Every report must stay byte-identical to the scalar
-// all-pairs engine and correct against the naive oracle — if a dispatch
-// band miscomputed a single word, a subproduct would lose or invent a
-// shared factor and the reports would diverge.
+// TestDifferentialEnginesSubquadraticTiles drives the product-based
+// engines into math/big's subquadratic regime: on 80 keys of 256 bits
+// (4 words each), tiles of 24 or more moduli multiply halves past
+// math/big's subquadratic multiplication cutoff (40 words), and batch
+// GCD's top tree levels pass it too, with remainder-tree divisors past
+// the recursive division cutoff (100 words). Every report must stay byte-identical to
+// the scalar all-pairs engine and correct against the naive oracle.
 func TestDifferentialEnginesSubquadraticTiles(t *testing.T) {
-	defer mpnat.SetMulThresholds(4, 10)()
 	for seed := int64(75); seed < 77; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			moduli := differentialCorpus(t, seed)
+			moduli := differentialCorpusSized(t, seed, 80, 256)
 			wantBroken, wantDups := naiveReference(moduli)
 
 			base, err := Run(moduli, Options{
@@ -268,10 +268,7 @@ func TestDifferentialEnginesSubquadraticTiles(t *testing.T) {
 			}
 			checkAgainstNaive(t, moduli, base, wantBroken, wantDups)
 
-			// Tile sizes straddling both lowered cutoffs: products of 2, 5,
-			// 8 and all moduli put the balanced reduction's top level below,
-			// between, and above the Karatsuba and Toom-3 boundaries.
-			for _, tile := range []int{2, 5, 8, len(moduli)} {
+			for _, tile := range []int{8, 24, 48, len(moduli)} {
 				rep, err := Run(moduli, Options{
 					Config:    engine.Config{Workers: 3},
 					Engine:    engine.Hybrid,
@@ -285,18 +282,14 @@ func TestDifferentialEnginesSubquadraticTiles(t *testing.T) {
 				checkAgainstNaive(t, moduli, rep, wantBroken, wantDups)
 				checkReportsIdentical(t, base, rep)
 			}
-
-			// Batch GCD on the nat tree: the full product tree and the
-			// remainder-tree squares run deep in Karatsuba/Toom-3 territory.
 			for _, w := range []int{1, 4} {
 				rep, err := Run(moduli, Options{
 					Config:   engine.Config{Workers: w},
 					Engine:   engine.Batch,
-					Tree:     subprod.BackendNat,
 					Exponent: rsakey.DefaultExponent,
 				})
 				if err != nil {
-					t.Fatalf("batch nat workers=%d: %v", w, err)
+					t.Fatalf("batch workers=%d: %v", w, err)
 				}
 				checkAgainstNaive(t, moduli, rep, wantBroken, wantDups)
 				checkReportsIdentical(t, base, rep)

@@ -7,7 +7,6 @@ import (
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/rsakey"
-	"bulkgcd/internal/subprod"
 )
 
 // TestDifferentialWorkerCounts pins the work-stealing pool's core
@@ -16,8 +15,8 @@ import (
 // (odd, so the static split is ragged and steal-half rebalancing kicks
 // in) and 16 (far more workers than this machine has cores, so deques
 // drain in arbitrary interleavings). Each width runs the three engines
-// the scheduler now drives — all-pairs, hybrid cells, batch GCD on the
-// nat-backed tree — and every report must match the brute-force
+// the scheduler now drives — all-pairs, hybrid cells, batch GCD's
+// tree levels — and every report must match the brute-force
 // math/big oracle and the width-1 report exactly.
 func TestDifferentialWorkerCounts(t *testing.T) {
 	moduli := differentialCorpus(t, 77)
@@ -41,8 +40,10 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 			Algorithm: gcd.Approximate, Early: true, TileSize: 4,
 			Exponent: rsakey.DefaultExponent,
 		}},
+		// The engine takes the corpus as mpnat Nats and converts it
+		// once to math/big, where its product and remainder trees run.
 		{"batch-nat", Options{
-			Engine: engine.Batch, Tree: subprod.BackendNat,
+			Engine:   engine.Batch,
 			Exponent: rsakey.DefaultExponent,
 		}},
 	}

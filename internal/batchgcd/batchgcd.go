@@ -38,7 +38,6 @@ import (
 
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/faultinject"
-	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
 )
@@ -46,8 +45,8 @@ import (
 // one is the shared constant 1.
 var one = big.NewInt(1)
 
-// Config controls a batch-GCD run. It is the shared cross-engine
-// configuration plus one engine knob, Tree. Workers only split
+// Config controls a batch-GCD run: the shared cross-engine
+// configuration, with no engine-specific knob. Workers only split
 // independent node computations within a tree level, so the result is
 // identical for every pool size; Progress counts tree-operation units
 // (product multiplications, remainder reductions, leaf GCD extractions
@@ -57,16 +56,6 @@ var one = big.NewInt(1)
 // resumable progress matters).
 type Config struct {
 	engine.Config
-
-	// Tree selects the arithmetic the product and remainder trees run
-	// on: subprod.BackendBig (the default) keeps math/big's assembly
-	// inner loops and recursive division, subprod.BackendNat builds both
-	// trees in mpnat's packed word representation on the subquadratic
-	// Karatsuba/Toom-3 path with per-worker scratch arenas. The Finding
-	// list is byte-identical across backends (and every Workers
-	// setting); the unit accounting seen by Progress and the fault hook
-	// is identical too.
-	Tree subprod.TreeBackend
 }
 
 // tracker carries the shared progress and observability state of one
@@ -257,77 +246,6 @@ func (t *ProductTree) remainderTree(ctx context.Context, workers int, tr *tracke
 	return cur, nil
 }
 
-// leafRemainders computes r_i = P mod n_i^2 for every modulus on the
-// backend cfg selects: product tree, then remainder tree, with
-// identical tick/phase accounting either way, so Progress streams and
-// fault-injection ordinals do not depend on the backend.
-func leafRemainders(ctx context.Context, moduli []*big.Int, workers int, tr *tracker, backend subprod.TreeBackend) ([]*big.Int, error) {
-	if backend == subprod.BackendNat {
-		return natRemainders(ctx, moduli, workers, tr)
-	}
-	t, err := buildTree(ctx, moduli, workers, tr)
-	if err != nil {
-		return nil, err
-	}
-	return t.remainderTree(ctx, workers, tr)
-}
-
-// natRemainders is the BackendNat twin of buildTree+remainderTree: the
-// product tree is built by subprod.BuildNat on the subquadratic mpnat
-// multiplier, and the push-down reduces modulo node squares with
-// per-worker MulScratch/DivScratch arenas, all in the packed 32-bit
-// word layout. The leaf remainders convert back to big.Int once, at the
-// boundary to the shared leaf GCD pass, so findings stay byte-identical
-// with the big backend.
-func natRemainders(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) ([]*big.Int, error) {
-	leaves := make([]*mpnat.Nat, len(moduli))
-	for i, n := range moduli {
-		leaves[i] = mpnat.FromBig(n)
-	}
-	t, err := subprod.BuildNat(ctx, leaves, subprod.BuildOptions{
-		Workers: workers,
-		Metrics: tr.metrics,
-		OnLevel: func(level, nodes int, run func() error) error {
-			return tr.phase("product", level, nodes, tr.productH, run)
-		},
-		OnNode: tr.tick,
-	})
-	if err != nil {
-		return nil, err
-	}
-	depth := len(t.Levels)
-	cur := []*mpnat.Nat{t.Root()}
-	type natScratch struct {
-		sq  mpnat.Nat
-		mul mpnat.MulScratch
-		div mpnat.DivScratch
-	}
-	scratch := make([]natScratch, workers)
-	for lvl := depth - 2; lvl >= 0; lvl-- {
-		nodes := t.Levels[lvl]
-		next := make([]*mpnat.Nat, len(nodes))
-		parent := cur
-		if err := tr.phase("remainder", lvl, len(nodes), tr.remainderH, func() error {
-			return engine.Run(ctx, len(nodes), engine.PoolOptions{Workers: workers, Metrics: tr.metrics}, func(i, w int) {
-				s := &scratch[w]
-				s.mul.Sqr(&s.sq, nodes[i])
-				rem := new(mpnat.Nat)
-				s.div.Mod(rem, parent[i/2], &s.sq)
-				next[i] = rem
-				tr.tick()
-			})
-		}); err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	rems := make([]*big.Int, len(cur))
-	for i, r := range cur {
-		rems[i] = r.ToBig()
-	}
-	return rems, nil
-}
-
 // SharedFactors returns, for each modulus, g_i = gcd(n_i, (P/n_i) mod n_i):
 // 1 when n_i shares no factor with any other modulus, the shared factor(s)
 // otherwise, and n_i itself when n_i divides the product of the others
@@ -359,7 +277,11 @@ func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([
 	mults, reductions, leaves := treeUnits(len(moduli))
 	tr := newTracker(mults+reductions+leaves, cfg)
 
-	rems, err := leafRemainders(ctx, moduli, workers, tr, cfg.Tree)
+	t, err := buildTree(ctx, moduli, workers, tr)
+	if err != nil {
+		return nil, err
+	}
+	rems, err := t.remainderTree(ctx, workers, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -426,8 +348,7 @@ func RunContext(ctx context.Context, moduli []*big.Int, cfg Config) (findings []
 		return nil, err
 	}
 	runSpan := cfg.Trace.StartSpan("run",
-		"engine", "batchgcd", "moduli", len(moduli), "workers", cfg.EffectiveWorkers(),
-		"tree", cfg.Tree.String())
+		"engine", "batchgcd", "moduli", len(moduli), "workers", cfg.EffectiveWorkers())
 	defer func() {
 		if cfg.Metrics != nil {
 			cfg.Metrics.Counter("batchgcd_findings_total").Add(int64(len(findings)))

@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/big"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"bulkgcd/internal/checkpoint"
+	"bulkgcd/internal/corpus"
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
@@ -154,6 +156,8 @@ func validateSet(name string, base int, moduli []*mpnat.Nat, quarantine bool) (a
 			reason = "zero"
 		case n.IsEven():
 			reason = "even"
+		case n.BitLen() > corpus.MaxModulusBits:
+			reason = "oversize"
 		}
 		if reason != "" {
 			if !quarantine {
@@ -286,6 +290,11 @@ type pairRunner struct {
 	moduli  []*mpnat.Nat
 	seq     *atomic.Int64
 	metrics *runMetrics
+
+	// The hybrid filter's reusable division scratch (math/big) and the
+	// remainder's word form the kernel reads.
+	filterQuo, filterRem big.Int
+	filterNat            mpnat.Nat
 }
 
 // newPairRunner builds one worker's runner for the configured kernel.

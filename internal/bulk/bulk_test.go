@@ -67,8 +67,8 @@ func TestNewScheduleValidation(t *testing.T) {
 	}
 }
 
-// corpus returns a deterministic weak corpus for attack tests.
-func corpus(t testing.TB, count, bits, weak int, seed int64) *rsakey.Corpus {
+// weakCorpus returns a deterministic weak corpus for attack tests.
+func weakCorpus(t testing.TB, count, bits, weak int, seed int64) *rsakey.Corpus {
 	t.Helper()
 	c, err := rsakey.GenerateCorpus(rsakey.CorpusSpec{
 		Count: count, Bits: bits, WeakPairs: weak, Seed: seed,
@@ -83,7 +83,7 @@ func corpus(t testing.TB, count, bits, weak int, seed int64) *rsakey.Corpus {
 // bulk all-pairs run finds exactly the planted weak pairs, for every
 // algorithm and both terminate modes.
 func TestAllPairsFindsPlantedFactors(t *testing.T) {
-	c := corpus(t, 24, 128, 4, 11)
+	c := weakCorpus(t, 24, 128, 4, 11)
 	for _, alg := range gcd.Algorithms {
 		for _, early := range []bool{false, true} {
 			res, err := AllPairs(c.Moduli(), Config{Algorithm: alg, Early: early, GroupSize: 5})
@@ -116,7 +116,7 @@ func TestAllPairsFindsPlantedFactors(t *testing.T) {
 // TestAllPairsMatchesSequential checks the parallel executor against the
 // single-worker oracle for factors and aggregate statistics.
 func TestAllPairsMatchesSequential(t *testing.T) {
-	c := corpus(t, 30, 64, 3, 12)
+	c := weakCorpus(t, 30, 64, 3, 12)
 	seq, err := Sequential(c.Moduli(), gcd.Approximate, false)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestAllPairsMatchesSequential(t *testing.T) {
 
 // TestAllPairsDuplicateModulus covers the duplicate-key case: gcd = n.
 func TestAllPairsDuplicateModulus(t *testing.T) {
-	c := corpus(t, 6, 64, 0, 13)
+	c := weakCorpus(t, 6, 64, 0, 13)
 	moduli := c.Moduli()
 	moduli = append(moduli, moduli[2]) // duplicate key
 	res, err := AllPairs(moduli, Config{Algorithm: gcd.Approximate})
@@ -173,7 +173,7 @@ func TestAllPairsValidation(t *testing.T) {
 }
 
 func TestAllPairsProgress(t *testing.T) {
-	c := corpus(t, 12, 64, 0, 14)
+	c := weakCorpus(t, 12, 64, 0, 14)
 	var mu sync.Mutex
 	var last int64
 	res, err := AllPairs(c.Moduli(), Config{
@@ -413,7 +413,7 @@ func BenchmarkAllPairs128x512(b *testing.B) {
 // everything touching a new modulus is found, and the union with an
 // old-only run equals the full all-pairs run.
 func TestIncrementalCoversExactlyNewPairs(t *testing.T) {
-	c := corpus(t, 20, 128, 4, 30)
+	c := weakCorpus(t, 20, 128, 4, 30)
 	moduli := c.Moduli()
 	old, newer := moduli[:12], moduli[12:]
 
@@ -462,7 +462,7 @@ func TestIncrementalCoversExactlyNewPairs(t *testing.T) {
 }
 
 func TestIncrementalNoOldCorpus(t *testing.T) {
-	c := corpus(t, 10, 128, 2, 31)
+	c := weakCorpus(t, 10, 128, 2, 31)
 	inc, err := Incremental(nil, c.Moduli(), Config{Algorithm: gcd.Approximate, Early: true})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // in-process hybrid run exactly — the property that makes a fleet of
 // CellRunners equivalent to one local scan.
 func TestCellRunnerMatchesHybrid(t *testing.T) {
-	c := corpus(t, 40, 64, 4, 91)
+	c := weakCorpus(t, 40, 64, 4, 91)
 	ms := c.Moduli()
 	cfg := Config{Algorithm: gcd.Approximate, Early: true, TileSize: 8}
 	base, err := Hybrid(ms, cfg)
@@ -72,7 +72,7 @@ func TestCellRunnerMatchesHybrid(t *testing.T) {
 // runner stays usable: retrying the same cell after the fault clears
 // produces the correct record.
 func TestCellRunnerPanicRecovery(t *testing.T) {
-	c := corpus(t, 24, 64, 2, 92)
+	c := weakCorpus(t, 24, 64, 2, 92)
 	ms := c.Moduli()
 	failures := 0
 	hook := &faultinject.Hook{Block: func(u int) {
@@ -112,7 +112,7 @@ func TestCellRunnerPanicRecovery(t *testing.T) {
 }
 
 func TestCellRunnerEdges(t *testing.T) {
-	c := corpus(t, 12, 64, 0, 93)
+	c := weakCorpus(t, 12, 64, 0, 93)
 	r, err := NewCellRunner(c.Moduli(), Config{Algorithm: gcd.Approximate, TileSize: 4})
 	if err != nil {
 		t.Fatal(err)

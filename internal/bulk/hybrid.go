@@ -3,6 +3,7 @@ package bulk
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"time"
 
 	"bulkgcd/internal/checkpoint"
@@ -30,10 +31,13 @@ import (
 // always descend — Π(tile A) ≡ 0 mod n_i makes the filter vacuous
 // there.
 //
-// Tile subproducts are built once and cached under Config.SubprodBudget
-// (LRU); the work unit for scheduling, checkpointing and cancellation is
-// one cell, so every journaled cell is final and an interrupted run
-// resumes exactly like the all-pairs engine.
+// Tile subproducts are math/big products, built once and cached under
+// Config.SubprodBudget (LRU); the filter's division runs on math/big
+// too, and its remainder crosses into the word representation only for
+// the full GCD, which stays on the paper kernel. The work unit for
+// scheduling, checkpointing and cancellation is one cell, so every
+// journaled cell is final and an interrupted run resumes exactly like
+// the all-pairs engine.
 
 // hybridCell is one tile-pair work unit, A <= B (tile indices).
 type hybridCell struct {
@@ -43,6 +47,7 @@ type hybridCell struct {
 // hybridPlan is the validated shape of a hybrid run.
 type hybridPlan struct {
 	active  []int
+	bigs    []*big.Int // math/big copy of each active modulus, by input index
 	maxBits int
 	bad     []Quarantined
 	tile    int          // tile width T
@@ -83,7 +88,10 @@ func planHybrid(moduli []*mpnat.Nat, cfg Config) (*hybridPlan, error) {
 	if t > len(active) {
 		t = len(active)
 	}
-	p := &hybridPlan{active: active, maxBits: maxBits, bad: bad, tile: t}
+	p := &hybridPlan{active: active, bigs: make([]*big.Int, len(moduli)), maxBits: maxBits, bad: bad, tile: t}
+	for _, i := range active {
+		p.bigs[i] = moduli[i].ToBig()
+	}
 	nt := p.tiles()
 	for a := 0; a < nt; a++ {
 		for b := a; b < nt; b++ {
@@ -112,11 +120,12 @@ func HybridJournalHeader(moduli []*mpnat.Nat, cfg Config) (checkpoint.Header, er
 	return plan.header, nil
 }
 
-// filterHit runs the subproduct filter for one row modulus: true means
-// the row must descend to per-pair GCDs, false proves the whole row
-// coprime. A panic inside the filter conservatively descends (the
-// per-pair runner then computes — and quarantines — the truth pairwise).
-func (p *pairRunner) filterHit(n, prod *mpnat.Nat, hm *hybridMetrics) (hit bool) {
+// filterHit runs the subproduct filter for row modulus n (nb its
+// math/big copy): true means the row must descend to per-pair GCDs,
+// false proves the whole row coprime. A panic inside the filter
+// conservatively descends (the per-pair runner then computes — and
+// quarantines — the truth pairwise).
+func (p *pairRunner) filterHit(n *mpnat.Nat, nb, prod *big.Int, hm *hybridMetrics) (hit bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			hit = true
@@ -126,7 +135,8 @@ func (p *pairRunner) filterHit(n, prod *mpnat.Nat, hm *hybridMetrics) (hit bool)
 	}()
 	start := time.Now()
 	defer func() { hm.observeFilter(time.Since(start)) }()
-	r := new(mpnat.Nat).Mod(prod, n)
+	p.filterQuo.QuoRem(prod, nb, &p.filterRem)
+	r := p.filterNat.SetBig(&p.filterRem)
 	if r.IsZero() {
 		return true // n divides the subproduct: duplicate or fully shared
 	}
@@ -158,16 +168,16 @@ func (p *pairRunner) runCell(plan *hybridPlan, c hybridCell, cache *subprod.Cach
 		return
 	}
 	bLo, bHi := plan.tileSpan(c.B)
-	prod := cache.Get(c.B, func() *mpnat.Nat {
-		ms := make([]*mpnat.Nat, 0, bHi-bLo)
+	prod := cache.Get(c.B, func() *big.Int {
+		ms := make([]*big.Int, 0, bHi-bLo)
 		for u := bLo; u < bHi; u++ {
-			ms = append(ms, p.moduli[plan.active[u]])
+			ms = append(ms, plan.bigs[plan.active[u]])
 		}
-		return subprod.ProductNat(ms)
+		return subprod.Product(ms)
 	})
 	for k := aLo; k < aHi; k++ {
 		i := plan.active[k]
-		if p.filterHit(p.moduli[i], prod, hm) {
+		if p.filterHit(p.moduli[i], plan.bigs[i], prod, hm) {
 			hm.observeRow(true, int64(bHi-bLo))
 			for u := bLo; u < bHi; u++ {
 				p.pair(i, plan.active[u], blk)

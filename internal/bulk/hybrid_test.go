@@ -17,7 +17,7 @@ import (
 // byte-identical to the all-pairs engine at every tile size and worker
 // count, with the pair total fully accounted.
 func TestHybridMatchesAllPairs(t *testing.T) {
-	c := corpus(t, 48, 64, 5, 77)
+	c := weakCorpus(t, 48, 64, 5, 77)
 	ms := c.Moduli()
 	ms[7] = ms[3].Clone() // duplicate modulus: Π(tile) ≡ 0 path
 	base, err := AllPairs(ms, Config{Algorithm: gcd.Approximate, Early: true})
@@ -52,7 +52,7 @@ func TestHybridMatchesAllPairs(t *testing.T) {
 // work — the whole point of the engine — and the skip counters must
 // account exactly for the pairs not descended.
 func TestHybridSkipsPairs(t *testing.T) {
-	c := corpus(t, 64, 64, 2, 78)
+	c := weakCorpus(t, 64, 64, 2, 78)
 	reg := obs.NewRegistry()
 	res, err := Hybrid(c.Moduli(), Config{
 		Config:    engine.Config{Metrics: reg},
@@ -87,7 +87,7 @@ func TestHybridSkipsPairs(t *testing.T) {
 // TestHybridSubprodBudget: a tiny budget forces evictions and rebuilds
 // but never changes the results.
 func TestHybridSubprodBudget(t *testing.T) {
-	c := corpus(t, 40, 64, 3, 79)
+	c := weakCorpus(t, 40, 64, 3, 79)
 	base, err := AllPairs(c.Moduli(), Config{Algorithm: gcd.Approximate, Early: true})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestHybridSubprodBudget(t *testing.T) {
 // TestHybridQuarantine: quarantine mode reports bad inputs and the
 // factor indices still refer to the original slice, matching all-pairs.
 func TestHybridQuarantine(t *testing.T) {
-	c := corpus(t, 20, 64, 3, 80)
+	c := weakCorpus(t, 20, 64, 3, 80)
 	ms := c.Moduli()
 	ms[4] = &mpnat.Nat{}    // zero
 	ms[9] = mpnat.New(1000) // even
@@ -132,7 +132,7 @@ func TestHybridQuarantine(t *testing.T) {
 // TestHybridCancelPartial: cancellation at cell boundaries keeps the
 // partial result sound (every reported factor is real).
 func TestHybridCancelPartial(t *testing.T) {
-	c := corpus(t, 24, 64, 3, 81)
+	c := weakCorpus(t, 24, 64, 3, 81)
 	clean, err := Hybrid(c.Moduli(), Config{Algorithm: gcd.Approximate, Early: true, TileSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestHybridCancelPartial(t *testing.T) {
 // several points, resume from the journal, and require the final result
 // to match an uninterrupted run exactly.
 func TestHybridCheckpointResumeEquivalence(t *testing.T) {
-	c := corpus(t, 24, 64, 4, 82)
+	c := weakCorpus(t, 24, 64, 4, 82)
 	cfg := Config{Algorithm: gcd.Approximate, Early: true, TileSize: 4}
 	clean, err := Hybrid(c.Moduli(), cfg)
 	if err != nil {
@@ -239,7 +239,7 @@ func TestHybridCheckpointResumeEquivalence(t *testing.T) {
 // TestHybridResumeRejectsMismatchedTile: the tile size is part of the
 // fingerprint — a journal from tile=4 must not resume a tile=8 run.
 func TestHybridResumeRejectsMismatchedTile(t *testing.T) {
-	c := corpus(t, 16, 64, 2, 83)
+	c := weakCorpus(t, 16, 64, 2, 83)
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	w, err := checkpoint.Create(path)
 	if err != nil {
@@ -272,7 +272,7 @@ func TestHybridResumeRejectsMismatchedTile(t *testing.T) {
 // quarantined exactly like the all-pairs engine, and a panic during the
 // filter conservatively descends instead of dropping findings.
 func TestHybridPanicQuarantine(t *testing.T) {
-	c := corpus(t, 16, 64, 2, 84)
+	c := weakCorpus(t, 16, 64, 2, 84)
 	for _, at := range []int64{0, 5} {
 		plan := faultinject.NewPlan()
 		plan.PanicAtPair = at
@@ -295,7 +295,7 @@ func TestHybridPanicQuarantine(t *testing.T) {
 // TestHybridJournalHeader: the header is stable and distinct from the
 // all-pairs engine's.
 func TestHybridJournalHeader(t *testing.T) {
-	c := corpus(t, 8, 64, 1, 85)
+	c := weakCorpus(t, 8, 64, 1, 85)
 	cfg := Config{Algorithm: gcd.Approximate, TileSize: 4}
 	h, err := HybridJournalHeader(c.Moduli(), cfg)
 	if err != nil {

@@ -26,7 +26,7 @@ func lanesCfg(width int) Config {
 // the lanes kernel at several lane widths — including L=1 and group/tile
 // sizes that leave the final lockstep batches ragged.
 func TestLanesMatchesScalarFindings(t *testing.T) {
-	c := corpus(t, 24, 96, 4, 51)
+	c := weakCorpus(t, 24, 96, 4, 51)
 	moduli := c.Moduli()
 	scalar, err := AllPairs(moduli, Config{Algorithm: gcd.Approximate, Early: true, GroupSize: 5})
 	if err != nil {
@@ -85,7 +85,7 @@ func TestLanesMatchesScalarFindings(t *testing.T) {
 // TestLanesRequiresApproximate: the lanes kernel implements only the
 // Approximate algorithm, and every engine front-end rejects the rest.
 func TestLanesRequiresApproximate(t *testing.T) {
-	c := corpus(t, 6, 64, 1, 52)
+	c := weakCorpus(t, 6, 64, 1, 52)
 	moduli := c.Moduli()
 	cfg := Config{Algorithm: gcd.Binary, Kernel: engine.KernelLanes}
 	if _, err := AllPairs(moduli, cfg); err == nil {
@@ -104,7 +104,7 @@ func TestLanesRequiresApproximate(t *testing.T) {
 // every other pair of the same lockstep batch still gets its exact
 // verdict, so the findings match a clean run's.
 func TestLanesPanicQuarantine(t *testing.T) {
-	c := corpus(t, 16, 64, 2, 53)
+	c := weakCorpus(t, 16, 64, 2, 53)
 	moduli := c.Moduli()
 	clean, err := AllPairs(moduli, Config{Algorithm: gcd.Approximate, Early: true, GroupSize: 4})
 	if err != nil {
@@ -164,7 +164,7 @@ func TestLanesPanicQuarantine(t *testing.T) {
 // scalar kernel resumes under the lanes kernel (and vice versa) with
 // findings identical to an uninterrupted run.
 func TestLanesJournalResumeAcrossKernels(t *testing.T) {
-	c := corpus(t, 20, 64, 3, 54)
+	c := weakCorpus(t, 20, 64, 3, 54)
 	moduli := c.Moduli()
 	base := Config{Algorithm: gcd.Approximate, Early: true, GroupSize: 4}
 	clean, err := AllPairs(moduli, base)
@@ -236,7 +236,7 @@ func TestLanesJournalResumeAcrossKernels(t *testing.T) {
 // TestLanesMetrics: a lanes run populates the bulk_lanes_* instruments
 // with self-consistent values; a scalar run leaves them untouched.
 func TestLanesMetrics(t *testing.T) {
-	c := corpus(t, 16, 64, 2, 55)
+	c := weakCorpus(t, 16, 64, 2, 55)
 	moduli := c.Moduli()
 	reg := obs.NewRegistry()
 	cfg := lanesCfg(8)

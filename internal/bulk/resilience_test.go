@@ -39,7 +39,7 @@ func sameFactors(t *testing.T, got, want []Factor) {
 // partial-result contract: Canceled set, the pair count bounded by the
 // total, and every reported factor also found by a clean run.
 func TestAllPairsCancelPartial(t *testing.T) {
-	c := corpus(t, 20, 64, 3, 41)
+	c := weakCorpus(t, 20, 64, 3, 41)
 	clean, err := AllPairs(c.Moduli(), Config{Algorithm: gcd.Approximate, Early: true, GroupSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestAllPairsCancelPartial(t *testing.T) {
 // resumed from its journal produces findings identical to an
 // uninterrupted run, over several kill points and worker counts.
 func TestAllPairsCheckpointResumeEquivalence(t *testing.T) {
-	c := corpus(t, 22, 64, 4, 42)
+	c := weakCorpus(t, 22, 64, 4, 42)
 	cfg := Config{Algorithm: gcd.Approximate, Early: true, GroupSize: 4}
 	clean, err := AllPairs(c.Moduli(), cfg)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestAllPairsCheckpointResumeEquivalence(t *testing.T) {
 // TestIncrementalCheckpointResumeEquivalence: same property for the
 // incremental engine's stripe units.
 func TestIncrementalCheckpointResumeEquivalence(t *testing.T) {
-	c := corpus(t, 18, 64, 3, 43)
+	c := weakCorpus(t, 18, 64, 3, 43)
 	moduli := c.Moduli()
 	old, newer := moduli[:10], moduli[10:]
 	cfg := Config{Algorithm: gcd.Approximate, Early: true}
@@ -218,8 +218,8 @@ func TestIncrementalCheckpointResumeEquivalence(t *testing.T) {
 // TestResumeFingerprintMismatch: a journal from a different corpus or
 // configuration must be rejected, not silently merged.
 func TestResumeFingerprintMismatch(t *testing.T) {
-	c1 := corpus(t, 8, 64, 1, 44)
-	c2 := corpus(t, 8, 64, 1, 45)
+	c1 := weakCorpus(t, 8, 64, 1, 44)
+	c2 := weakCorpus(t, 8, 64, 1, 45)
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	w, err := checkpoint.Create(path)
 	if err != nil {
@@ -258,7 +258,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 // with gcd 1 is quarantined as a BadPair; the run completes and the
 // findings are exactly those of a clean run.
 func TestAllPairsPanicQuarantine(t *testing.T) {
-	c := corpus(t, 16, 64, 2, 46)
+	c := weakCorpus(t, 16, 64, 2, 46)
 	clean, err := AllPairs(c.Moduli(), Config{Algorithm: gcd.Approximate, Early: true, GroupSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestAllPairsPanicQuarantine(t *testing.T) {
 // pair lands on it) must be absorbed without crashing, for every engine
 // shape.
 func TestOrdinalPanicDoesNotCrash(t *testing.T) {
-	c := corpus(t, 12, 64, 2, 47)
+	c := weakCorpus(t, 12, 64, 2, 47)
 	for _, at := range []int64{0, 5, 30} {
 		plan := faultinject.NewPlan()
 		plan.PanicAtPair = at
@@ -334,7 +334,7 @@ func TestOrdinalPanicDoesNotCrash(t *testing.T) {
 // reports while the remaining corpus is scanned normally, and indices in
 // the findings refer to the original corpus.
 func TestInputQuarantine(t *testing.T) {
-	c := corpus(t, 14, 64, 2, 48)
+	c := weakCorpus(t, 14, 64, 2, 48)
 	moduli := c.Moduli()
 	zero := &mpnat.Nat{}
 	even := mpnat.New(4)
@@ -389,7 +389,7 @@ func TestInputQuarantine(t *testing.T) {
 // TestIncrementalQuarantine covers the same contract for incremental runs,
 // where old and new sets are validated separately but indexed globally.
 func TestIncrementalQuarantine(t *testing.T) {
-	c := corpus(t, 12, 64, 2, 49)
+	c := weakCorpus(t, 12, 64, 2, 49)
 	moduli := c.Moduli()
 	old := append([]*mpnat.Nat{mpnat.New(4)}, moduli[:6]...)   // even at global 0
 	newer := append([]*mpnat.Nat{&mpnat.Nat{}}, moduli[6:]...) // zero at global 7
@@ -412,7 +412,7 @@ func TestIncrementalQuarantine(t *testing.T) {
 // TestCancelBeforeStart: an already-canceled context yields an empty
 // canceled result, not an error or a hang.
 func TestCancelBeforeStart(t *testing.T) {
-	c := corpus(t, 8, 64, 1, 50)
+	c := weakCorpus(t, 8, 64, 1, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := AllPairsContext(ctx, c.Moduli(), Config{Algorithm: gcd.Approximate})

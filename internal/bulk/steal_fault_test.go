@@ -21,7 +21,7 @@ import (
 // (the slow unit makes the steal deterministic in practice: worker 0 is
 // asleep while worker 1 runs dry).
 func TestStolenUnitPanicQuarantine(t *testing.T) {
-	c := corpus(t, 24, 64, 2, 19)
+	c := weakCorpus(t, 24, 64, 2, 19)
 	moduli := c.Moduli()
 
 	// Pair (20, 23) lives in the last all-pairs block — the top of
@@ -68,7 +68,7 @@ func TestStolenUnitPanicQuarantine(t *testing.T) {
 // pool's cancel path works when the observing worker is executing
 // stolen work rather than its own partition.
 func TestStolenUnitCancellation(t *testing.T) {
-	c := corpus(t, 24, 64, 0, 23)
+	c := weakCorpus(t, 24, 64, 0, 23)
 	moduli := c.Moduli()
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -17,16 +17,35 @@ import (
 	"bulkgcd/internal/pemkeys"
 )
 
+// MaxModulusBits is the largest modulus, in bits, any intake accepts.
+// One huge "modulus" slows every later product, fold and descent that
+// includes it, so intake bounds the size. The ceiling sits far above
+// every RSA size in use and in the paper (which stops at 4096 bits).
+const MaxModulusBits = 16384
+
+// ReasonOversize is Validate's reason for a modulus above
+// MaxModulusBits.
+const ReasonOversize = "modulus exceeds 16384 bits"
+
+// Modulus is the view of a candidate modulus Validate needs; both
+// *mpnat.Nat and *big.Int satisfy it.
+type Modulus interface {
+	BitLen() int
+	Bit(i int) uint
+}
+
 // Validate reports why n cannot be an RSA modulus, or "" when it can.
 // The strings double as skip/quarantine reasons, so every layer that
 // classifies a bad modulus (strict readers, the engines' quarantine,
 // the registry's malformed verdict) agrees on the wording.
-func Validate(n *mpnat.Nat) string {
-	if n.IsZero() {
+func Validate(n Modulus) string {
+	switch bits := n.BitLen(); {
+	case bits == 0:
 		return "zero modulus"
-	}
-	if n.IsEven() {
+	case n.Bit(0) == 0:
 		return "even modulus (not an RSA modulus)"
+	case bits > MaxModulusBits:
+		return ReasonOversize
 	}
 	return ""
 }

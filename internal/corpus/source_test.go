@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"math/big"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -139,5 +140,26 @@ func TestValidate(t *testing.T) {
 	}
 	if r := Validate(mpnat.FromBig(big.NewInt(15))); r != "" {
 		t.Fatalf("odd: %q", r)
+	}
+}
+
+// TestValidateCeiling: the oversize reason names the ceiling, and both
+// integer types agree at and above it.
+func TestValidateCeiling(t *testing.T) {
+	if !strings.Contains(ReasonOversize, strconv.Itoa(MaxModulusBits)) {
+		t.Fatalf("ReasonOversize %q does not name the %d-bit ceiling", ReasonOversize, MaxModulusBits)
+	}
+	for _, tc := range []struct {
+		bits int
+		want string
+	}{{MaxModulusBits, ""}, {MaxModulusBits + 1, ReasonOversize}} {
+		n := new(big.Int).Lsh(big.NewInt(1), uint(tc.bits-1))
+		n.Add(n, big.NewInt(1))
+		if got := Validate(n); got != tc.want {
+			t.Errorf("big.Int of %d bits: %q, want %q", tc.bits, got, tc.want)
+		}
+		if got := Validate(mpnat.FromBig(n)); got != tc.want {
+			t.Errorf("mpnat.Nat of %d bits: %q, want %q", tc.bits, got, tc.want)
+		}
 	}
 }

@@ -1,48 +1,13 @@
 package mpnat
 
-import "sync"
-
 // This file completes the arithmetic substrate with the modular operations
-// the RSA layer needs: multiplication, modular exponentiation (RSA encrypt
+// the RSA layer needs on top of Mul (mul.go): modular exponentiation (RSA encrypt
 // and decrypt are M^e mod n and C^d mod n) and the modular inverse via the
 // extended Euclidean algorithm, which the paper points to for computing
 // d = e^-1 mod (p-1)(q-1) once a modulus is factored. With these, the
 // whole attack pipeline runs on this package's word-level arithmetic;
-// math/big remains only in conversions, reference oracles and the batch
-// GCD baseline.
-
-// mulScratchPool backs Nat.Mul calls that arrive without a caller-owned
-// MulScratch; hot tree builders hold one per worker instead.
-var mulScratchPool = sync.Pool{New: func() any { return new(MulScratch) }}
-
-// Mul sets n = x * y and returns n. Operands below KaratsubaThreshold
-// run the schoolbook loop; larger ones dispatch through the
-// subquadratic path of mul.go (Karatsuba, then Toom-3) on a pooled
-// MulScratch, honoring any installed MulBackend.
-// Aliasing among n, x, y is allowed.
-func (n *Nat) Mul(x, y *Nat) *Nat {
-	lx, ly := len(x.w), len(y.w)
-	if lx == 0 || ly == 0 {
-		n.w = n.w[:0]
-		return n
-	}
-	if (lx < karatsubaThreshold || ly < karatsubaThreshold) && loadMulBackend() == nil {
-		// Small operands: one schoolbook pass into a fresh buffer
-		// (aliasing-safe), no arena needed.
-		out := make([]uint32, lx+ly)
-		basicMul(out, x.w, y.w)
-		n.w = out
-		n.norm()
-		return n
-	}
-	s := mulScratchPool.Get().(*MulScratch)
-	s.Mul(n, x, y)
-	mulScratchPool.Put(s)
-	return n
-}
-
-// Sqr sets n = x * x and returns n.
-func (n *Nat) Sqr(x *Nat) *Nat { return n.Mul(x, x) }
+// math/big remains only in conversions, reference oracles and the
+// product/remainder trees.
 
 // ModExp sets n = base^exp mod m and returns n, by left-to-right square
 // and multiply with a full reduction after each step. m must be > 1.

@@ -567,36 +567,15 @@ func divmodWord(x *Nat, y uint32) (q, r *Nat) {
 const wordsPerBig = bits.UintSize / word.Bits
 
 // ToBig returns the value of n as a fresh big.Int. The conversion packs
-// the word slice directly into big.Word limbs (O(n)), so routing a
-// tree-level multiplication through math/big costs two linear passes,
-// not a quadratic shift-and-or loop.
+// the word slice directly into big.Word limbs (O(n)), so crossing from
+// the kernels' words to the math/big trees costs one linear pass, not a
+// quadratic shift-and-or loop.
 func (n *Nat) ToBig() *big.Int {
 	bw := make([]big.Word, (len(n.w)+wordsPerBig-1)/wordsPerBig)
 	for i, w := range n.w {
 		bw[i/wordsPerBig] |= big.Word(w) << ((i % wordsPerBig) * word.Bits)
 	}
 	return new(big.Int).SetBits(bw)
-}
-
-// ToBigInto sets dst to the value of n, reusing dst's limb storage when
-// it is large enough, and returns dst. The steady-state registry submit
-// path stages remainders through one retained big.Int per descent, so
-// the conversion must not allocate once the scratch has warmed up.
-func (n *Nat) ToBigInto(dst *big.Int) *big.Int {
-	need := (len(n.w) + wordsPerBig - 1) / wordsPerBig
-	bw := dst.Bits()
-	if cap(bw) < need {
-		bw = make([]big.Word, need)
-	} else {
-		bw = bw[:need]
-		for i := range bw {
-			bw[i] = 0
-		}
-	}
-	for i, w := range n.w {
-		bw[i/wordsPerBig] |= big.Word(w) << ((i % wordsPerBig) * word.Bits)
-	}
-	return dst.SetBits(bw)
 }
 
 // SetBig sets n to the value of b, which must be non-negative, and
@@ -681,10 +660,9 @@ func (n *Nat) Bytes() []byte {
 }
 
 // AppendWordBytes appends n's packed words to buf, little-endian, and
-// returns the extended slice. It is the zero-reversal serialization used
-// by the registry's node files: multi-megabyte tree products round-trip
-// without the per-byte reordering Bytes performs. The length is always
-// Len()*4 bytes; SetWordBytes inverts it.
+// returns the extended slice: a serialization with no per-byte
+// reordering, the value layout of the registry's earlier bgrn1 node
+// files. The length is always Len()*4 bytes; SetWordBytes inverts it.
 func (n *Nat) AppendWordBytes(buf []byte) []byte {
 	for _, w := range n.w {
 		buf = append(buf, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))

@@ -6,11 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
 )
@@ -27,8 +27,11 @@ func (k nodeKey) span() (lo, hi int) {
 }
 
 // nodeFileVersion is the node file format version ("BGRN" = bulk gcd
-// registry node).
-const nodeFileVersion = "bgrn1"
+// registry node). bgrn2 stores the value as big-endian bytes; bgrn1
+// stored packed 32-bit words. The version is hashed into every
+// fingerprint, so a file of another version never validates and is
+// rebuilt.
+const nodeFileVersion = "bgrn2"
 
 // seedSpan is the smallest span the store builds through the parallel
 // subprod builder instead of serial child recursion; a cold open over a
@@ -44,7 +47,7 @@ type nodeHeader struct {
 	Level int    `json:"level"`
 	Index int    `json:"index"`
 	FP    string `json:"fp"`
-	Words int    `json:"words"`
+	Bytes int    `json:"bytes"`
 }
 
 // store resolves node values through three layers: the byte-budgeted
@@ -52,7 +55,7 @@ type nodeHeader struct {
 // children (recursive for small spans, the parallel subprod builder for
 // large ones). Writes go through to disk so a restart reloads instead
 // of remultiplying. value() is safe for concurrent use — the cache is
-// thread-safe, reads are pure, builds use call-local scratch, and node
+// thread-safe, reads are pure, builds allocate their own nodes, and node
 // file writes are atomic temp+rename — which is what lets the registry
 // descend the spine roots in parallel. Mutating entry points (put,
 // invalidate, prune) stay serialized under the registry lock.
@@ -65,7 +68,7 @@ type store struct {
 	// tombstoned), leaf its value (1 when tombstoned); both are provided
 	// by the registry so the store never sees corpus bookkeeping.
 	leafHex func(i int) string
-	leaf    func(i int) *mpnat.Nat
+	leaf    func(i int) *big.Int
 
 	loads, builds *obs.Counter // registry_node_loads_total, registry_node_builds_total
 }
@@ -91,9 +94,10 @@ func (s *store) fingerprint(k nodeKey) string {
 	lo, hi := k.span()
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%d|%d\n", nodeFileVersion, k.level, k.index)
+	var line []byte // one reused buffer: a conversion per leaf would allocate
 	for i := lo; i < hi; i++ {
-		h.Write([]byte(s.leafHex(i)))
-		h.Write([]byte{'\n'})
+		line = append(append(line[:0], s.leafHex(i)...), '\n')
+		h.Write(line)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -104,11 +108,11 @@ func (s *store) path(k nodeKey) string {
 
 // value resolves a node: cache, then disk, then rebuild. Level 0 reads
 // the corpus directly and is never cached or spilled.
-func (s *store) value(k nodeKey) *mpnat.Nat {
+func (s *store) value(k nodeKey) *big.Int {
 	if k.level == 0 {
 		return s.leaf(k.index)
 	}
-	return s.cache.Get(k, func() *mpnat.Nat {
+	return s.cache.Get(k, func() *big.Int {
 		if v := s.read(k); v != nil {
 			s.loads.Inc()
 			return v
@@ -122,7 +126,7 @@ func (s *store) value(k nodeKey) *mpnat.Nat {
 // reloads it. Returns the retained value (the cache may already hold
 // an equal node built concurrently — impossible under the registry
 // lock, but Put's contract covers it).
-func (s *store) put(k nodeKey, v *mpnat.Nat) *mpnat.Nat {
+func (s *store) put(k nodeKey, v *big.Int) *big.Int {
 	s.write(k, v)
 	return s.cache.Put(k, v)
 }
@@ -137,7 +141,7 @@ func (s *store) invalidate(k nodeKey) {
 // read loads and validates a node file, returning nil on any mismatch
 // (missing, torn, foreign corpus, stale tombstone state) — the caller
 // rebuilds, so a bad node file can cost time but never correctness.
-func (s *store) read(k nodeKey) *mpnat.Nat {
+func (s *store) read(k nodeKey) *big.Int {
 	data, err := os.ReadFile(s.path(k))
 	if err != nil {
 		return nil
@@ -160,30 +164,29 @@ func (s *store) read(k nodeKey) *mpnat.Nat {
 		return nil
 	}
 	body := data[nl+1:]
-	if len(body) != hdr.Words*4 {
-		return nil
+	if len(body) != hdr.Bytes || len(body) == 0 || body[0] == 0 {
+		return nil // torn, or not the minimal encoding write produces
 	}
 	if hdr.FP != s.fingerprint(k) {
 		return nil
 	}
-	v, err := new(mpnat.Nat).SetWordBytes(body)
-	if err != nil {
-		return nil
-	}
-	return v
+	return new(big.Int).SetBytes(body)
 }
 
 // write persists a node file atomically (temp + rename), so a crash
 // mid-write leaves either no file or a complete one; read rejects any
 // torn survivor via the length and fingerprint checks anyway.
-func (s *store) write(k nodeKey, v *mpnat.Nat) {
-	hdr := nodeHeader{V: nodeFileVersion, Level: k.level, Index: k.index, FP: s.fingerprint(k), Words: v.Len()}
+func (s *store) write(k nodeKey, v *big.Int) {
+	size := (v.BitLen() + 7) / 8
+	hdr := nodeHeader{V: nodeFileVersion, Level: k.level, Index: k.index, FP: s.fingerprint(k), Bytes: size}
 	line, err := json.Marshal(hdr)
 	if err != nil {
 		return
 	}
-	buf := append(line, '\n')
-	buf = v.AppendWordBytes(buf)
+	buf := make([]byte, len(line)+1+size)
+	copy(buf, line)
+	buf[len(line)] = '\n'
+	v.FillBytes(buf[len(line)+1:])
 	tmp := s.path(k) + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
 		os.Remove(tmp)
@@ -194,23 +197,25 @@ func (s *store) write(k nodeKey, v *mpnat.Nat) {
 	}
 }
 
-// build computes a node from its children. Small spans recurse serially
-// with the shared scratch; spans of seedSpan and larger go through the
+// build computes a node from its children. Small spans multiply their
+// two children, each resolved through value (so a missing child is
+// rebuilt first); spans of seedSpan and larger go through the
 // parallel subprod builder, and every interior node of the built
 // subtree is harvested into the file store so neighbouring rebuilds
 // (and the next restart) get them for free.
-func (s *store) build(k nodeKey) *mpnat.Nat {
+func (s *store) build(k nodeKey) *big.Int {
 	s.builds.Inc()
 	lo, hi := k.span()
 	if hi-lo >= seedSpan {
-		leaves := make([]*mpnat.Nat, hi-lo)
+		leaves := make([]*big.Int, hi-lo)
 		for i := range leaves {
 			leaves[i] = s.leaf(lo + i)
 		}
-		t, err := subprod.BuildNat(context.Background(), leaves, subprod.BuildOptions{Workers: s.workers})
+		t, err := subprod.Build(context.Background(), leaves, subprod.BuildOptions{Workers: s.workers})
 		if err == nil {
 			for l := 1; l < len(t.Levels); l++ {
 				for j, v := range t.Levels[l] {
+					v = exactCopy(v)
 					kk := nodeKey{l, (lo >> l) + j}
 					s.write(kk, v)
 					if l < len(t.Levels)-1 {
@@ -218,20 +223,26 @@ func (s *store) build(k nodeKey) *mpnat.Nat {
 					}
 				}
 			}
-			return t.Root()
+			return exactCopy(t.Root())
 		}
 		// The builder only fails on context cancellation; fall through to
 		// the serial path, which cannot fail.
 	}
 	left := s.value(nodeKey{k.level - 1, 2 * k.index})
 	right := s.value(nodeKey{k.level - 1, 2*k.index + 1})
-	v := new(mpnat.Nat)
-	// Call-local scratch: concurrent root descents may rebuild disjoint
-	// nodes at once, so the serial path must not share multiplier state.
-	var mul mpnat.MulScratch
-	mul.Mul(v, left, right)
+	v := exactCopy(new(big.Int).Mul(left, right))
 	s.write(k, v)
 	return v
+}
+
+// exactCopy returns a copy of v without spare capacity. math/big's
+// multiplier can leave up to half again a product's size in spare
+// words, and forest nodes stay cached for the life of the registry, so
+// every computed node is copied to its exact size before the cache
+// keeps it.
+func exactCopy(v *big.Int) *big.Int {
+	b := v.Bits()
+	return new(big.Int).SetBits(append(make([]big.Word, 0, len(b)), b...))
 }
 
 // prune removes node files that are not nodes of the forest over n

@@ -2,10 +2,9 @@ package subprod
 
 import (
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
-
-	"bulkgcd/internal/mpnat"
 )
 
 // TestCacheShardsSpreadKeys checks sequential int keys land on distinct
@@ -35,12 +34,8 @@ func TestCacheShardsSpreadKeys(t *testing.T) {
 func TestCacheShardsBudgetHolds(t *testing.T) {
 	const budget = 16 * 1024
 	c := NewCacheShards(budget, 8)
-	val := func(k int) *mpnat.Nat {
-		ws := make([]uint32, 8) // 32 bytes, far under budget/16
-		for i := range ws {
-			ws[i] = uint32(k + 1)
-		}
-		return mpnat.NewFromWords(ws)
+	val := func(k int) *big.Int {
+		return sized(32, big.Word(k+1)) // far under budget/16
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -49,8 +44,8 @@ func TestCacheShardsBudgetHolds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				k := (w*131 + i) % 977
-				got := c.Get(k, func() *mpnat.Nat { return val(k) })
-				if got.Words()[0] != uint32(k+1) {
+				got := c.Get(k, func() *big.Int { return val(k) })
+				if got.Bits()[0] != big.Word(k+1) {
 					t.Errorf("key %d: wrong value", k)
 					return
 				}
@@ -76,13 +71,9 @@ func TestCacheShardsBudgetHolds(t *testing.T) {
 // TestCacheShardsOversizedValue: a value larger than its shard's budget
 // slice is handed out but never retained.
 func TestCacheShardsOversizedValue(t *testing.T) {
-	c := NewCacheShards(64, 4) // 16 bytes per shard
-	big := make([]uint32, 8)   // 32 bytes
-	for i := range big {
-		big[i] = 7
-	}
-	v := c.Put(3, mpnat.NewFromWords(big))
-	if v == nil || v.Words()[0] != 7 {
+	c := NewCacheShards(64, 4)  // 16 bytes per shard
+	v := c.Put(3, sized(32, 7)) // 32 bytes
+	if v == nil || v.Bits()[0] != 7 {
 		t.Fatal("oversized value not handed back")
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -103,14 +94,14 @@ func BenchmarkCacheProbe(b *testing.B) {
 			const keys = 64
 			for k := 0; k < keys; k++ {
 				kk := k
-				c.Get(k, func() *mpnat.Nat { return mpnat.New(uint64(kk + 1)) })
+				c.Get(k, func() *big.Int { return big.NewInt(int64(kk + 1)) })
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				k := 0
 				for pb.Next() {
-					c.Get(k%keys, func() *mpnat.Nat { return mpnat.New(uint64(k%keys + 1)) })
+					c.Get(k%keys, func() *big.Int { return big.NewInt(int64(k%keys + 1)) })
 					k++
 				}
 			})

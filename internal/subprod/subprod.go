@@ -4,20 +4,24 @@
 // per-tile subproducts that the hybrid product-filter engine
 // (internal/bulk) caches under a memory budget.
 //
-// Both engines reduce the same primitive — multiply a set of moduli into
-// one integer so a single division+GCD can interrogate all of them at
-// once — so the construction lives here and is configured by the caller:
-// big.Int trees with per-level hooks for batch GCD's observability,
-// plain mpnat products for the hybrid engine's word-level filter path.
+// Both engines (and the streaming registry's forest) reduce the same
+// primitive — multiply a set of moduli into one integer so a single
+// division+GCD can interrogate all of them at once — so the
+// construction lives here and is configured by the caller: per-level
+// hooks for batch GCD's observability, plain products for the hybrid
+// engine's tile filter. Every tree runs on math/big, whose assembly
+// inner loops and subquadratic multiply and divide are what make the
+// baseline fast (DESIGN.md section 5f); the paper's word-level mpnat
+// substrate stays with the GCD kernels.
 package subprod
 
 import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"bulkgcd/internal/engine"
-	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
 )
 
@@ -50,49 +54,6 @@ func (t *Tree) Root() *big.Int {
 	return top[0]
 }
 
-// NatTree is the mpnat twin of Tree: the same level layout and
-// odd-node promotion rule, with nodes held in the packed 32-bit word
-// representation the kernels and the hybrid filter consume directly.
-type NatTree struct {
-	Levels [][]*mpnat.Nat
-}
-
-// Root returns the product of all leaves.
-func (t *NatTree) Root() *mpnat.Nat {
-	top := t.Levels[len(t.Levels)-1]
-	return top[0]
-}
-
-// TreeBackend selects the arithmetic representation a product (and, in
-// batch GCD, remainder) tree is built on. Both backends produce the
-// same mathematical nodes — every differential suite asserts findings
-// are byte-identical across them — so the choice is purely about
-// performance shape: BackendBig rides math/big's assembly inner loops
-// and recursive division, BackendNat stays in the packed word layout
-// the subquadratic mpnat multiplier and the GCD kernels share, skipping
-// the conversion at the tree/kernel boundary.
-type TreeBackend int
-
-const (
-	// BackendBig builds tree nodes as *big.Int (the default).
-	BackendBig TreeBackend = iota
-	// BackendNat builds tree nodes as *mpnat.Nat with per-worker
-	// MulScratch arenas.
-	BackendNat
-)
-
-// String names the backend for logs and test labels.
-func (b TreeBackend) String() string {
-	switch b {
-	case BackendBig:
-		return "big"
-	case BackendNat:
-		return "nat"
-	default:
-		return fmt.Sprintf("TreeBackend(%d)", int(b))
-	}
-}
-
 // BuildOptions configures Build. The zero value builds serially with no
 // hooks.
 type BuildOptions struct {
@@ -123,32 +84,29 @@ func Mults(m int) int64 {
 	return total
 }
 
-// buildLevels is the one tree-construction loop both backends share:
-// pair-and-promote bottom-up, level-parallel via ParallelEach, with the
-// OnLevel/OnNode observability hooks threaded through identically. The
-// backend enters only as the mul callback (worker is the ParallelEach
-// worker index, for per-worker scratch arenas), so the big.Int and
-// mpnat trees cannot drift apart structurally — the historical bug this
-// replaces was exactly two hand-rolled copies of this loop disagreeing
-// on representation details.
-func buildLevels[T any](ctx context.Context, leaves []T, opt BuildOptions, mul func(worker int, x, y T) T) ([][]T, error) {
+// Build constructs the product tree of the leaves bottom-up:
+// pair-and-promote, each level's multiplications fanned out over the
+// work-stealing pool, with the OnLevel/OnNode observability hooks
+// threaded through. Level 0 is a copy of the leaf slice; the leaves are
+// never modified, and every product is freshly allocated (an odd node
+// is promoted by reference).
+func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("subprod: empty input")
 	}
-	level := make([]T, len(leaves))
-	copy(level, leaves)
-	levels := [][]T{level}
+	level := append([]*big.Int(nil), leaves...)
+	levels := [][]*big.Int{level}
+	workers := opt.Workers
+	if workers < 1 {
+		workers = 1
+	}
 	for len(level) > 1 {
 		pairs := len(level) / 2
-		next := make([]T, (len(level)+1)/2)
+		next := make([]*big.Int, (len(level)+1)/2)
 		src := level
-		workers := opt.Workers
-		if workers < 1 {
-			workers = 1
-		}
 		run := func() error {
-			return engine.Run(ctx, pairs, engine.PoolOptions{Workers: workers, Metrics: opt.Metrics}, func(i, w int) {
-				next[i] = mul(w, src[2*i], src[2*i+1])
+			return engine.Run(ctx, pairs, engine.PoolOptions{Workers: workers, Metrics: opt.Metrics}, func(i, _ int) {
+				next[i] = new(big.Int).Mul(src[2*i], src[2*i+1])
 				if opt.OnNode != nil {
 					opt.OnNode()
 				}
@@ -169,67 +127,31 @@ func buildLevels[T any](ctx context.Context, leaves []T, opt BuildOptions, mul f
 		levels = append(levels, next)
 		level = next
 	}
-	return levels, nil
-}
-
-// Build constructs the big.Int product tree of the leaves bottom-up.
-// The leaf slice is aliased as level 0, never modified.
-func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, error) {
-	levels, err := buildLevels(ctx, leaves, opt, func(_ int, x, y *big.Int) *big.Int {
-		return new(big.Int).Mul(x, y)
-	})
-	if err != nil {
-		return nil, err
-	}
 	return &Tree{Levels: levels}, nil
 }
 
-// BuildNat constructs the mpnat product tree of the leaves bottom-up on
-// the same pair-and-promote path as Build, multiplying through the
-// subquadratic mpnat dispatch with one MulScratch arena per worker. The
-// leaf slice is aliased as level 0, never modified; every interior node
-// is freshly allocated and never aliases a leaf.
-func BuildNat(ctx context.Context, leaves []*mpnat.Nat, opt BuildOptions) (*NatTree, error) {
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	scratch := make([]*mpnat.MulScratch, workers)
-	for i := range scratch {
-		scratch[i] = new(mpnat.MulScratch)
-	}
-	levels, err := buildLevels(ctx, leaves, opt, func(w int, x, y *mpnat.Nat) *mpnat.Nat {
-		return scratch[w].Mul(new(mpnat.Nat), x, y)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &NatTree{Levels: levels}, nil
-}
-
-// ProductNat multiplies the moduli into a single Nat by balanced
-// pairwise reduction on the same buildLevels path as BuildNat (balanced
-// operands keep the subquadratic multiplier in its best regime). An
-// empty slice yields 1. The inputs are never modified and the result
-// never aliases them, so cached products are safe to share read-only
-// across workers.
-func ProductNat(ms []*mpnat.Nat) *mpnat.Nat {
+// Product multiplies the moduli into a single integer by balanced
+// pairwise reduction on the same path as Build (balanced operands keep
+// math/big's multiplier in its subquadratic regime). An empty slice
+// yields 1. The inputs are never modified and the result never aliases
+// them, so cached products are safe to share read-only across workers.
+func Product(ms []*big.Int) *big.Int {
 	switch len(ms) {
 	case 0:
-		return mpnat.New(1)
+		return big.NewInt(1)
 	case 1:
-		return ms[0].Clone()
+		return new(big.Int).Set(ms[0])
 	}
-	t, err := BuildNat(context.Background(), ms, BuildOptions{})
+	t, err := Build(context.Background(), ms, BuildOptions{})
 	if err != nil {
 		// Unreachable: the input is non-empty and a background context
 		// with no hooks cannot fail.
-		panic("subprod: ProductNat: " + err.Error())
+		panic("subprod: Product: " + err.Error())
 	}
 	return t.Root()
 }
 
-// NatBytes returns the in-memory size the cache accounts for a Nat.
-func NatBytes(n *mpnat.Nat) int64 {
-	return int64(n.Len()) * 4
+// Bytes returns the in-memory size the cache accounts for a value.
+func Bytes(v *big.Int) int64 {
+	return int64(len(v.Bits())) * bits.UintSize / 8
 }

@@ -4,12 +4,21 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
-
-	"bulkgcd/internal/mpnat"
 )
+
+// sized returns a value of exactly nbytes bytes as Bytes accounts it
+// (nbytes a multiple of the word size), every word set to fill.
+func sized(nbytes int, fill big.Word) *big.Int {
+	ws := make([]big.Word, nbytes*8/bits.UintSize)
+	for i := range ws {
+		ws[i] = fill
+	}
+	return new(big.Int).SetBits(ws)
+}
 
 func randBig(r *rand.Rand, bits int) *big.Int {
 	v := new(big.Int)
@@ -84,18 +93,20 @@ func TestBuildCanceled(t *testing.T) {
 	}
 }
 
-func TestProductNat(t *testing.T) {
+// TestProduct checks the balanced product against a direct fold,
+// including the empty and single-element cases (a single element must
+// be copied, never aliased: cached products are shared read-only).
+func TestProduct(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, m := range []int{0, 1, 2, 3, 7, 33} {
-		ms := make([]*mpnat.Nat, m)
+		ms := make([]*big.Int, m)
 		want := big.NewInt(1)
 		for i := range ms {
-			b := randBig(r, 64)
-			ms[i] = mpnat.FromBig(b)
-			want = new(big.Int).Mul(want, b)
+			ms[i] = randBig(r, 64)
+			want = new(big.Int).Mul(want, ms[i])
 		}
-		got := ProductNat(ms)
-		if got.ToBig().Cmp(want) != 0 {
+		got := Product(ms)
+		if got.Cmp(want) != 0 {
 			t.Fatalf("m=%d: product mismatch", m)
 		}
 		if m == 1 && got == ms[0] {
@@ -105,15 +116,8 @@ func TestProductNat(t *testing.T) {
 }
 
 func TestCacheBudgetAndLRU(t *testing.T) {
-	build := func(k int) func() *mpnat.Nat {
-		return func() *mpnat.Nat {
-			// 10 words = 40 bytes each.
-			ws := make([]uint32, 10)
-			for i := range ws {
-				ws[i] = uint32(k + 1)
-			}
-			return mpnat.NewFromWords(ws)
-		}
+	build := func(k int) func() *big.Int {
+		return func() *big.Int { return sized(40, big.Word(k+1)) }
 	}
 	c := NewCache(100) // fits 2 of the 40-byte values
 	a := c.Get(0, build(0))
@@ -159,9 +163,9 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := i % 17
-				v := c.Get(k, func() *mpnat.Nat { return mpnat.New(uint64(k + 1)) })
-				if v.Uint64() != uint64(k+1) {
-					t.Errorf("key %d: got %d", k, v.Uint64())
+				v := c.Get(k, func() *big.Int { return big.NewInt(int64(k + 1)) })
+				if v.Int64() != int64(k+1) {
+					t.Errorf("key %d: got %d", k, v.Int64())
 					return
 				}
 			}
@@ -170,125 +174,15 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBuildNatMatchesBig pins the satellite fix of this PR: the big.Int
-// and mpnat tree builds now share one buildLevels loop, so every node of
-// every level — not just the root — must be the same integer, for even
-// and odd leaf counts, serial and parallel, with the observability
-// hooks firing identically.
-func TestBuildNatMatchesBig(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	for _, m := range []int{1, 2, 3, 5, 9, 16, 33, 64} {
-		for _, workers := range []int{1, 4} {
-			big_ := make([]*big.Int, m)
-			nat := make([]*mpnat.Nat, m)
-			for i := range big_ {
-				big_[i] = randBig(r, 128)
-				nat[i] = mpnat.FromBig(big_[i])
-			}
-			var bigNodes, natNodes int64
-			var mu sync.Mutex
-			count := func(n *int64) func() {
-				return func() { mu.Lock(); *n++; mu.Unlock() }
-			}
-			bt, err := Build(context.Background(), big_, BuildOptions{Workers: workers, OnNode: count(&bigNodes)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nt, err := BuildNat(context.Background(), nat, BuildOptions{Workers: workers, OnNode: count(&natNodes)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(bt.Levels) != len(nt.Levels) {
-				t.Fatalf("m=%d: %d big levels vs %d nat levels", m, len(bt.Levels), len(nt.Levels))
-			}
-			for l := range bt.Levels {
-				if len(bt.Levels[l]) != len(nt.Levels[l]) {
-					t.Fatalf("m=%d level %d: width %d vs %d", m, l, len(bt.Levels[l]), len(nt.Levels[l]))
-				}
-				for i := range bt.Levels[l] {
-					if nt.Levels[l][i].ToBig().Cmp(bt.Levels[l][i]) != 0 {
-						t.Fatalf("m=%d workers=%d: node (%d,%d) differs across backends", m, workers, l, i)
-					}
-				}
-			}
-			if bigNodes != natNodes || bigNodes != Mults(m) {
-				t.Fatalf("m=%d: OnNode fired %d (big) / %d (nat), want %d", m, bigNodes, natNodes, Mults(m))
-			}
-		}
-	}
-}
-
-// TestBuildNatLeavesUntouched: level 0 aliases the caller's leaves and
-// interior nodes never alias them, so a tree build must leave every
-// input word-for-word intact (the hybrid engine shares leaves across
-// cached tiles).
-func TestBuildNatLeavesUntouched(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	leaves := make([]*mpnat.Nat, 7)
-	snapshots := make([]*mpnat.Nat, 7)
-	for i := range leaves {
-		leaves[i] = mpnat.FromBig(randBig(r, 96))
-		snapshots[i] = leaves[i].Clone()
-	}
-	tree, err := BuildNat(context.Background(), leaves, BuildOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range leaves {
-		if leaves[i].Cmp(snapshots[i]) != 0 {
-			t.Fatalf("leaf %d mutated by BuildNat", i)
-		}
-		if tree.Levels[0][i] != leaves[i] {
-			t.Fatalf("level 0 entry %d does not alias the input leaf", i)
-		}
-	}
-	for l := 1; l < len(tree.Levels); l++ {
-		for _, node := range tree.Levels[l] {
-			for _, leaf := range leaves {
-				if node == leaf && l == len(tree.Levels)-1 {
-					t.Fatalf("root aliases a leaf")
-				}
-			}
-		}
-	}
-}
-
-// TestBuildNatCanceled mirrors TestBuildCanceled on the Nat path.
-func TestBuildNatCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	leaves := []*mpnat.Nat{mpnat.New(3), mpnat.New(5)}
-	if _, err := BuildNat(ctx, leaves, BuildOptions{}); err == nil {
-		t.Fatal("expected context error")
-	}
-}
-
-// TestTreeBackendString keeps the log/test labels stable.
-func TestTreeBackendString(t *testing.T) {
-	if BackendBig.String() != "big" || BackendNat.String() != "nat" {
-		t.Fatalf("backend names drifted: %s, %s", BackendBig, BackendNat)
-	}
-	if TreeBackend(9).String() != "TreeBackend(9)" {
-		t.Fatalf("unknown backend label: %s", TreeBackend(9))
-	}
-}
-
 // TestKeyedCache exercises the generic-key cache the registry's node
 // store uses: struct keys, Put insertion, Drop invalidation, and the
 // LRU budget discipline shared with the int-keyed tile cache.
 func TestKeyedCache(t *testing.T) {
 	type nodeKey struct{ level, index int }
-	val := func(words int) *mpnat.Nat { // words 32-bit words of payload
-		ws := make([]uint32, words)
-		for i := range ws {
-			ws[i] = uint32(i + 1)
-		}
-		return mpnat.NewFromWords(ws)
-	}
-	c := NewKeyedCache[nodeKey](40) // room for two 4-word (16-byte) values plus change
+	c := NewKeyedCache[nodeKey](40) // room for two 16-byte values plus change
 	builds := 0
-	get := func(k nodeKey) *mpnat.Nat {
-		return c.Get(k, func() *mpnat.Nat { builds++; return val(4) })
+	get := func(k nodeKey) *big.Int {
+		return c.Get(k, func() *big.Int { builds++; return sized(16, 1) })
 	}
 	a, b := nodeKey{1, 0}, nodeKey{1, 1}
 	get(a)
@@ -308,19 +202,19 @@ func TestKeyedCache(t *testing.T) {
 	}
 
 	// Put retains the value; a second Put of the same key keeps the first.
-	first := c.Put(nodeKey{3, 3}, val(2))
-	second := c.Put(nodeKey{3, 3}, val(2))
+	first := c.Put(nodeKey{3, 3}, sized(8, 2))
+	second := c.Put(nodeKey{3, 3}, sized(8, 2))
 	if first != second {
 		t.Fatal("second Put did not return the retained value")
 	}
 	// Drop invalidates: the next Get rebuilds.
 	c.Drop(nodeKey{3, 3})
-	rebuilt := c.Get(nodeKey{3, 3}, func() *mpnat.Nat { return val(3) })
-	if rebuilt.Len() != 3 {
+	rebuilt := c.Get(nodeKey{3, 3}, func() *big.Int { return sized(8, 3) })
+	if rebuilt.Bits()[0] != 3 {
 		t.Fatal("Drop did not invalidate the entry")
 	}
 	// A value larger than the whole budget is returned but never retained.
-	huge := c.Put(nodeKey{9, 9}, val(100))
+	huge := c.Put(nodeKey{9, 9}, sized(400, 1))
 	if huge == nil || c.Stats().Bytes > 40 {
 		t.Fatalf("oversized value retained: %+v", c.Stats())
 	}

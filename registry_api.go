@@ -21,7 +21,8 @@ const (
 	// still accepted, and any shared factors are reported too).
 	VerdictDuplicate
 	// VerdictMalformed: the submission is not a plausible RSA modulus
-	// (zero or even) and was rejected without consuming an index.
+	// (zero, even, or above 16384 bits) and was rejected without
+	// consuming an index.
 	VerdictMalformed
 )
 

@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"strings"
 	"testing"
+
+	"bulkgcd/internal/corpus"
 )
 
 // TestOpenRegistry exercises the public streaming surface end to end:
@@ -101,5 +103,26 @@ func TestOpenRegistry(t *testing.T) {
 	}
 	if st := r2.Stats(); st.Replayed != 0 {
 		t.Fatalf("clean reopen replayed %d", st.Replayed)
+	}
+}
+
+// TestRegistryModulusCeiling: a modulus of exactly the intake ceiling is
+// registered; one bit more is a malformed verdict that takes no index
+// and leaves the registry usable.
+func TestRegistryModulusCeiling(t *testing.T) {
+	r, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if v, err := r.Submit(oddOfBits(corpus.MaxModulusBits)); err != nil || v.Kind != VerdictClean || v.Index != 0 {
+		t.Fatalf("modulus at the ceiling: %+v, %v", v, err)
+	}
+	v, err := r.Submit(oddOfBits(corpus.MaxModulusBits + 1))
+	if err != nil || v.Kind != VerdictMalformed || v.Index != -1 || v.Reason != corpus.ReasonOversize {
+		t.Fatalf("modulus over the ceiling: %+v, %v", v, err)
+	}
+	if v, err := r.Submit(big.NewInt(35)); err != nil || v.Kind != VerdictClean || v.Index != 1 {
+		t.Fatalf("submit after the rejection: %+v, %v", v, err)
 	}
 }
