@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-multicore chaos fleet-smoke obs-smoke registry-smoke cover bench bench-smoke fuzz-smoke selftest reproduce clean
+.PHONY: all build test vet race race-multicore chaos fleet-smoke obs-smoke registry-smoke bench-module cover bench bench-smoke fuzz-smoke selftest reproduce clean
 
 all: build vet test
 
@@ -62,6 +62,13 @@ obs-smoke:
 # the final /broken set must diff clean against a one-shot batch run.
 registry-smoke:
 	./scripts/registry_smoke.sh
+
+# The benchmark is its own module (benchmark/go.mod) that imports this
+# one through a replace directive, so `go test ./...` here never builds
+# it: vet and test it separately, or a public-API change can break the
+# benchmark build unseen.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 cover:
 	$(GO) test -cover ./...

@@ -86,32 +86,6 @@ func TestAttackAPIDefaults(t *testing.T) {
 	}
 }
 
-// TestAttackAPIWrapperParity asserts the deprecated FindSharedPrimes
-// wrapper reports exactly what the new API does.
-func TestAttackAPIWrapperParity(t *testing.T) {
-	moduli, _ := apiCorpus(t)
-	newRep, err := New(WithWorkers(2)).Run(context.Background(), moduli)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRep, err := FindSharedPrimes(moduli, &AttackOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oldRep.Broken) != len(newRep.Broken) {
-		t.Fatalf("wrapper broke %d keys, new API %d", len(oldRep.Broken), len(newRep.Broken))
-	}
-	for i := range oldRep.Broken {
-		o, n := oldRep.Broken[i], newRep.Broken[i]
-		if o.Index != n.Index || o.P.Cmp(n.P) != 0 || o.Q.Cmp(n.Q) != 0 {
-			t.Fatalf("broken key %d differs between wrapper and new API", i)
-		}
-	}
-	if oldRep.Pairs != newRep.Pairs {
-		t.Errorf("wrapper pairs %d, new API %d", oldRep.Pairs, newRep.Pairs)
-	}
-}
-
 // TestAttackAPICheckpointResume interrupts a checkpointed hybrid run,
 // then reruns with the same journal path: the second run must resume
 // (not restart) and produce the complete findings.

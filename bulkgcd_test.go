@@ -2,6 +2,7 @@ package bulkgcd
 
 import (
 	"bytes"
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -104,7 +105,7 @@ func TestEndToEndAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := FindSharedPrimes(moduli, nil)
+	rep, err := New().Run(context.Background(), moduli)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestAttackOptionsVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range Algorithms {
-		rep, err := FindSharedPrimes(moduli, &AttackOptions{
-			Algorithm:             alg,
-			DisableEarlyTerminate: alg == Binary,
-			Workers:               2,
-		})
+		opts := []Option{WithAlgorithm(alg), WithWorkers(2)}
+		if alg == Binary {
+			opts = append(opts, WithoutEarlyTermination())
+		}
+		rep, err := New(opts...).Run(context.Background(), moduli)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,18 +157,19 @@ func TestAttackOptionsVariants(t *testing.T) {
 	}
 }
 
-func TestFindSharedPrimesValidation(t *testing.T) {
+func TestAttackRunValidation(t *testing.T) {
+	ctx := context.Background()
 	odd := big.NewInt(15)
-	if _, err := FindSharedPrimes([]*big.Int{odd, big.NewInt(4)}, nil); err == nil {
+	if _, err := New().Run(ctx, []*big.Int{odd, big.NewInt(4)}); err == nil {
 		t.Error("even modulus accepted")
 	}
-	if _, err := FindSharedPrimes([]*big.Int{odd, big.NewInt(-3)}, nil); err == nil {
+	if _, err := New().Run(ctx, []*big.Int{odd, big.NewInt(-3)}); err == nil {
 		t.Error("negative modulus accepted")
 	}
-	if _, err := FindSharedPrimes([]*big.Int{odd, nil}, nil); err == nil {
+	if _, err := New().Run(ctx, []*big.Int{odd, nil}); err == nil {
 		t.Error("nil modulus accepted")
 	}
-	if _, err := FindSharedPrimes([]*big.Int{odd, odd}, &AttackOptions{Algorithm: Algorithm(9)}); err == nil {
+	if _, err := New(WithAlgorithm(Algorithm(9))).Run(ctx, []*big.Int{odd, odd}); err == nil {
 		t.Error("bad algorithm accepted")
 	}
 }
@@ -201,32 +203,6 @@ func TestGenerateWeakCorpusValidation(t *testing.T) {
 	}
 	if _, _, err := GenerateWeakCorpus(4, 64, 3, 1); err == nil {
 		t.Error("too many weak pairs accepted")
-	}
-}
-
-// TestBatchGCDOption: the public batch-GCD switch finds the same keys as
-// the all-pairs default.
-func TestBatchGCDOption(t *testing.T) {
-	moduli, _, err := GenerateWeakCorpus(14, 128, 2, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairwise, err := FindSharedPrimes(moduli, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := FindSharedPrimes(moduli, &AttackOptions{BatchGCD: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Broken) != len(pairwise.Broken) {
-		t.Fatalf("batch broke %d, pairwise %d", len(batch.Broken), len(pairwise.Broken))
-	}
-	for i := range batch.Broken {
-		if batch.Broken[i].Index != pairwise.Broken[i].Index ||
-			batch.Broken[i].P.Cmp(pairwise.Broken[i].P) != 0 {
-			t.Fatalf("engines disagree on broken key %d", i)
-		}
 	}
 }
 

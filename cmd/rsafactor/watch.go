@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -142,6 +143,12 @@ func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	return closeErr
 }
 
+// maxSubmitBytes caps one /submit body. A 2048-bit modulus is 513 bytes
+// as a hex line, so 64 MiB holds about 120k keys: far above any
+// realistic batch, while a runaway client cannot make the server parse
+// an unbounded body. An over-cap body answers 413 and creates no job.
+const maxSubmitBytes = 64 << 20
+
 // watchJob is one asynchronous submission batch.
 type watchJob struct {
 	ID    string `json:"job"`
@@ -185,12 +192,28 @@ func (ws *watchServer) wait() { ws.wg.Wait() }
 // handleSubmit parses the posted corpus and runs it through the
 // registry as one job. Malformed keys (zero/even) become Malformed
 // verdicts rather than failing the job, matching -quarantine semantics;
-// a syntactically broken corpus fails the whole job.
+// a syntactically broken corpus fails the whole job. A body over
+// maxSubmitBytes is refused with 413 before any job exists.
 func (ws *watchServer) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST a corpus (hex lines or PEM) to /submit", http.StatusMethodNotAllowed)
 		return
 	}
+
+	// Read the body before returning 202: the request body dies with the
+	// handler. Lenient parsing keeps zero/even moduli so the registry
+	// can answer Malformed instead of the parse erroring.
+	src := corpus.NewLenientSource(http.MaxBytesReader(w, req.Body, maxSubmitBytes))
+	var moduli []*big.Int
+	for src.Next() {
+		moduli = append(moduli, src.Record().N.ToBig())
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(src.Err(), &tooLarge) {
+		http.Error(w, fmt.Sprintf("submit body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+		return
+	}
+
 	ws.mu.Lock()
 	ws.nextID++
 	job := &watchJob{
@@ -201,14 +224,6 @@ func (ws *watchServer) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	ws.jobs[job.ID] = job
 	ws.mu.Unlock()
 
-	// Read the body before returning 202: the request body dies with the
-	// handler. Lenient parsing keeps zero/even moduli so the registry
-	// can answer Malformed instead of the parse erroring.
-	src := corpus.NewLenientSource(req.Body)
-	var moduli []*big.Int
-	for src.Next() {
-		moduli = append(moduli, src.Record().N.ToBig())
-	}
 	if err := src.Err(); err != nil {
 		ws.finishJob(job, nil, nil, err)
 		ws.respondJob(w, job, http.StatusBadRequest)

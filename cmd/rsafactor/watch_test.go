@@ -250,3 +250,83 @@ func TestWatchUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// commentFill is an endless stream of 64-byte '#' comment lines: corpus
+// padding that parses to no keys.
+type commentFill struct{ n int }
+
+func (c *commentFill) Read(p []byte) (int, error) {
+	for i := range p {
+		if c.n%64 == 63 {
+			p[i] = '\n'
+		} else {
+			p[i] = '#'
+		}
+		c.n++
+	}
+	return len(p), nil
+}
+
+// TestWatchSubmitBodyCap: a /submit body one byte over maxSubmitBytes is
+// refused with 413 without creating a job or touching the registry, and
+// a body exactly at the cap is accepted.
+func TestWatchSubmitBodyCap(t *testing.T) {
+	c, err := rsakey.GenerateCorpus(rsakey.CorpusSpec{Count: 4, Bits: 96, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moduli []*big.Int
+	for _, n := range c.Moduli() {
+		moduli = append(moduli, n.ToBig())
+	}
+	base, cancel, done, _ := startWatch(t, t.TempDir())
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("watch: %v", err)
+		}
+	}()
+	postCorpus(t, base, moduli[:3]) // job-1
+	keys := func() int {
+		var st struct{ Keys int }
+		getJSON(t, base+"/registry", &st)
+		return st.Keys
+	}
+
+	// submit streams one key line padded with comments to size bytes.
+	submit := func(size int64) *http.Response {
+		key := fmt.Sprintf("%x\n", moduli[3])
+		body := io.MultiReader(strings.NewReader(key), io.LimitReader(&commentFill{}, size-int64(len(key))))
+		resp, err := http.Post(base+"/submit?sync=1", "text/plain", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := submit(maxSubmitBytes + 1)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: %s, want 413", resp.Status)
+	}
+	if n := keys(); n != 3 {
+		t.Fatalf("registry has %d keys after a refused body, want 3", n)
+	}
+
+	resp = submit(maxSubmitBytes)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the cap: %s, want 200", resp.Status)
+	}
+	var job watchJob
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		t.Fatal(err)
+	}
+	// job-2, not job-3: the refused body created no job.
+	if job.ID != "job-2" || job.State != "done" || len(job.Verdicts) != 1 || job.Verdicts[0].Index != 3 {
+		t.Fatalf("at-cap job: %+v", job)
+	}
+	if n := keys(); n != 4 {
+		t.Fatalf("registry has %d keys, want 4", n)
+	}
+}

@@ -138,16 +138,10 @@ func (r *Result) PairsPerSecond() float64 {
 	return float64(r.Pairs) / r.Elapsed.Seconds()
 }
 
-// validateSet scans one labeled modulus slice. Valid moduli land in
-// active as base+index; in quarantine mode bad ones are reported in bad,
-// otherwise the first bad modulus fails the run (the legacy contract).
-func validateSet(name string, base int, moduli []*mpnat.Nat, quarantine bool) (active []int, maxBits int, bad []Quarantined, err error) {
-	label := func(i int) string {
-		if name == "" {
-			return fmt.Sprintf("modulus %d", i)
-		}
-		return fmt.Sprintf("%s modulus %d", name, i)
-	}
+// validateSet scans the modulus slice. Valid moduli land in active by
+// index; in quarantine mode bad ones are reported in bad, otherwise the
+// first bad modulus fails the run (the legacy contract).
+func validateSet(moduli []*mpnat.Nat, quarantine bool) (active []int, maxBits int, bad []Quarantined, err error) {
 	active = make([]int, 0, len(moduli))
 	for i, n := range moduli {
 		reason := ""
@@ -161,15 +155,15 @@ func validateSet(name string, base int, moduli []*mpnat.Nat, quarantine bool) (a
 		}
 		if reason != "" {
 			if !quarantine {
-				return nil, 0, nil, fmt.Errorf("bulk: %s is %s", label(i), reason)
+				return nil, 0, nil, fmt.Errorf("bulk: modulus %d is %s", i, reason)
 			}
-			bad = append(bad, Quarantined{Index: base + i, Reason: reason})
+			bad = append(bad, Quarantined{Index: i, Reason: reason})
 			continue
 		}
 		if b := n.BitLen(); b > maxBits {
 			maxBits = b
 		}
-		active = append(active, base+i)
+		active = append(active, i)
 	}
 	return active, maxBits, bad, nil
 }
@@ -178,17 +172,15 @@ func validateSet(name string, base int, moduli []*mpnat.Nat, quarantine bool) (a
 // the unit decomposition or findings, and every input modulus (bad ones
 // included — quarantine is deterministic, so the raw input is the
 // canonical identity).
-func fingerprint(engine string, cfg Config, groupSize int, sets ...[]*mpnat.Nat) string {
+func fingerprint(engine string, cfg Config, groupSize int, moduli []*mpnat.Nat) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%s|early=%t|quarantine=%t|r=%d", engine, cfg.Algorithm, cfg.Early, cfg.Quarantine, groupSize)
-	for _, set := range sets {
-		fmt.Fprintf(h, "|set=%d", len(set))
-		for _, n := range set {
-			if n == nil {
-				fmt.Fprint(h, "|nil")
-			} else {
-				fmt.Fprint(h, "|", n.Hex())
-			}
+	fmt.Fprintf(h, "|set=%d", len(moduli))
+	for _, n := range moduli {
+		if n == nil {
+			fmt.Fprint(h, "|nil")
+		} else {
+			fmt.Fprint(h, "|", n.Hex())
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -208,7 +200,7 @@ func planAllPairs(moduli []*mpnat.Nat, cfg Config) (*allPairsPlan, error) {
 	if err := validateKernel(cfg); err != nil {
 		return nil, err
 	}
-	active, maxBits, bad, err := validateSet("", 0, moduli, cfg.Quarantine)
+	active, maxBits, bad, err := validateSet(moduli, cfg.Quarantine)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +417,7 @@ func AllPairsContext(ctx context.Context, moduli []*mpnat.Nat, cfg Config) (*Res
 	start := time.Now()
 	up := &unitPool{
 		cfg: &cfg, moduli: moduli, maxBits: plan.maxBits, metrics: metrics,
-		runSpan: runSpan, spanName: "block", spanKey: "block",
+		runSpan: runSpan, spanName: "block",
 		resumed: resumed, total: total, resumed0: resumedPairs,
 		run: func(pr *pairRunner, i int, blk *blockOut) {
 			sched.BlockPairs(blocks[i], func(a, b int) {

@@ -74,7 +74,7 @@ func planHybrid(moduli []*mpnat.Nat, cfg Config) (*hybridPlan, error) {
 	if err := validateKernel(cfg); err != nil {
 		return nil, err
 	}
-	active, maxBits, bad, err := validateSet("", 0, moduli, cfg.Quarantine)
+	active, maxBits, bad, err := validateSet(moduli, cfg.Quarantine)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ func HybridContext(ctx context.Context, moduli []*mpnat.Nat, cfg Config) (*Resul
 	start := time.Now()
 	up := &unitPool{
 		cfg: &cfg, moduli: moduli, maxBits: plan.maxBits, metrics: metrics,
-		runSpan: runSpan, spanName: "cell", spanKey: "cell",
+		runSpan: runSpan, spanName: "cell",
 		spanAttrs: func(i int) []any { return []any{"a", plan.cells[i].A, "b", plan.cells[i].B} },
 		resumed:   resumed, total: plan.total, resumed0: resumedPairs,
 		run: func(pr *pairRunner, i int, blk *blockOut) {

@@ -65,20 +65,6 @@ func TestLanesMatchesScalarFindings(t *testing.T) {
 			}
 			sameFactors(t, res.Factors, scalar.Factors)
 		})
-		t.Run(fmt.Sprintf("incremental/width=%d", width), func(t *testing.T) {
-			cfg := lanesCfg(width)
-			cfg.Workers = 2
-			old, newer := moduli[:14], moduli[14:]
-			want, err := Incremental(old, newer, Config{Algorithm: gcd.Approximate, Early: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Incremental(old, newer, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFactors(t, res.Factors, want.Factors)
-		})
 	}
 }
 
@@ -93,9 +79,6 @@ func TestLanesRequiresApproximate(t *testing.T) {
 	}
 	if _, err := Hybrid(moduli, cfg); err == nil {
 		t.Error("Hybrid accepted lanes kernel with Binary algorithm")
-	}
-	if _, err := Incremental(moduli[:3], moduli[3:], cfg); err == nil {
-		t.Error("Incremental accepted lanes kernel with Binary algorithm")
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"bulkgcd/internal/obs"
 )
 
-// unitPool is the scaffolding the three bulk engines — all-pairs blocks,
-// hybrid cells, incremental stripes — share around the work-stealing
+// unitPool is the scaffolding the two bulk engines — all-pairs blocks
+// and hybrid cells — share around the work-stealing
 // scheduler (engine.RunStats): lazily built per-worker pairRunner
 // arenas (worker indices are stable, so every arena stays pinned to one
 // goroutine and the per-pair zero-alloc guarantees survive), resume
@@ -32,10 +32,9 @@ type unitPool struct {
 	maxBits int
 	metrics *runMetrics
 	runSpan *obs.Span
-	// spanName/spanKey name the per-unit child span and its index
-	// attribute ("block"/"block", "cell"/"cell", "block"/"stripe").
+	// spanName names the per-unit child span and its index attribute
+	// ("block" or "cell").
 	spanName string
-	spanKey  string
 	// spanAttrs, when non-nil, supplies extra attributes for unit i's span.
 	spanAttrs func(i int) []any
 	resumed   map[int]checkpoint.Record
@@ -81,7 +80,7 @@ func (up *unitPool) execute(ctx context.Context, n, workers int) ([]blockOut, en
 			runners[w] = pr
 		}
 		unitStart := time.Now()
-		attrs := []any{up.spanKey, i, "worker", w}
+		attrs := []any{up.spanName, i, "worker", w}
 		if up.spanAttrs != nil {
 			attrs = append(attrs, up.spanAttrs(i)...)
 		}

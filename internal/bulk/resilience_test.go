@@ -154,67 +154,6 @@ func TestAllPairsCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalCheckpointResumeEquivalence: same property for the
-// incremental engine's stripe units.
-func TestIncrementalCheckpointResumeEquivalence(t *testing.T) {
-	c := weakCorpus(t, 18, 64, 3, 43)
-	moduli := c.Moduli()
-	old, newer := moduli[:10], moduli[10:]
-	cfg := Config{Algorithm: gcd.Approximate, Early: true}
-	clean, err := Incremental(old, newer, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "inc.jsonl")
-	w, err := checkpoint.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	plan := faultinject.NewPlan()
-	plan.CancelAtPair = 12
-	plan.Cancel = cancel
-	kcfg := cfg
-	kcfg.Workers = 3
-	kcfg.Checkpoint = w
-	kcfg.Fault = plan.Hook()
-	res, err := IncrementalContext(ctx, old, newer, kcfg)
-	cancel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Canceled {
-		t.Fatal("run completed before the cancel fired")
-	}
-
-	st, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := checkpoint.OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := cfg
-	rcfg.Resume = st
-	rcfg.Checkpoint = w2
-	resumed, err := Incremental(old, newer, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Canceled || resumed.Pairs != clean.Pairs {
-		t.Fatalf("resumed: canceled=%v pairs=%d want %d", resumed.Canceled, resumed.Pairs, clean.Pairs)
-	}
-	sameFactors(t, resumed.Factors, clean.Factors)
-}
-
 // TestResumeFingerprintMismatch: a journal from a different corpus or
 // configuration must be rejected, not silently merged.
 func TestResumeFingerprintMismatch(t *testing.T) {
@@ -384,29 +323,6 @@ func TestInputQuarantine(t *testing.T) {
 	}
 	sortFactors(want)
 	sameFactors(t, res.Factors, want)
-}
-
-// TestIncrementalQuarantine covers the same contract for incremental runs,
-// where old and new sets are validated separately but indexed globally.
-func TestIncrementalQuarantine(t *testing.T) {
-	c := weakCorpus(t, 12, 64, 2, 49)
-	moduli := c.Moduli()
-	old := append([]*mpnat.Nat{mpnat.New(4)}, moduli[:6]...)   // even at global 0
-	newer := append([]*mpnat.Nat{&mpnat.Nat{}}, moduli[6:]...) // zero at global 7
-	res, err := Incremental(old, newer, Config{Algorithm: gcd.Approximate, Early: true, Quarantine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Quarantined) != 2 {
-		t.Fatalf("Quarantined = %+v", res.Quarantined)
-	}
-	if res.Quarantined[0].Index != 0 || res.Quarantined[1].Index != 7 {
-		t.Fatalf("quarantine indices %d,%d want 0,7", res.Quarantined[0].Index, res.Quarantined[1].Index)
-	}
-	want := int64(6)*6 + 6*5/2
-	if res.Pairs != want {
-		t.Fatalf("computed %d pairs, want %d", res.Pairs, want)
-	}
 }
 
 // TestCancelBeforeStart: an already-canceled context yields an empty

@@ -12,6 +12,12 @@ import (
 	"time"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a stalled or slow-drip connection cannot hold a server
+// goroutine open indefinitely. Bodies are not covered: handlers that
+// read one bound it themselves.
+const readHeaderTimeout = 10 * time.Second
+
 // StatusServer serves the live view of a running scan:
 //
 //	GET /healthz              liveness: {"status":"ok","uptime_seconds":...}
@@ -109,7 +115,7 @@ func ServeStatusOptions(addr string, opts StatusOptions) (*StatusServer, error) 
 	for pattern, h := range opts.Handlers {
 		mux.Handle(pattern, h)
 	}
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		defer close(s.done)
 		_ = s.srv.Serve(ln) // returns ErrServerClosed on Close/Shutdown
