@@ -19,6 +19,7 @@ import (
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
+	"bulkgcd/internal/obs"
 	"bulkgcd/internal/rsakey"
 )
 
@@ -200,7 +201,9 @@ func JournalHeader(moduli []*mpnat.Nat, opt Options) (checkpoint.Header, error) 
 }
 
 // interpretFactors turns raw pair factors into the attack report:
-// duplicates detected, moduli factored, private keys recovered.
+// duplicates detected, moduli factored, private keys recovered. The
+// first factor in res.Factors order that factors an index sets its P and
+// FoundWith.
 func interpretFactors(moduli []*mpnat.Nat, res *bulk.Result, opt Options) (*Report, error) {
 	rep := &Report{
 		Bulk:        res,
@@ -209,7 +212,8 @@ func interpretFactors(moduli []*mpnat.Nat, res *bulk.Result, opt Options) (*Repo
 		BadPairs:    res.BadPairs,
 		Quarantined: res.Quarantined,
 	}
-	broken := map[int]BrokenKey{}
+	var jobs []keyJob
+	planned := map[int]bool{}
 	for _, f := range res.Factors {
 		g := f.P.ToBig()
 		nI := moduli[f.I].ToBig()
@@ -218,28 +222,21 @@ func interpretFactors(moduli []*mpnat.Nat, res *bulk.Result, opt Options) (*Repo
 			rep.Duplicates = append(rep.Duplicates, [2]int{f.I, f.J})
 			continue
 		}
-		for _, side := range []struct {
-			idx   int
-			n     *big.Int
-			other int
-		}{{f.I, nI, f.J}, {f.J, nJ, f.I}} {
-			if _, done := broken[side.idx]; done {
+		for _, side := range []keyJob{{f.I, nI, g, f.J}, {f.J, nJ, g, f.I}} {
+			if planned[side.idx] {
 				continue
 			}
 			if g.Cmp(side.n) >= 0 {
 				continue // g equals this modulus; it factors only the other side
 			}
-			bk, err := factorKey(side.idx, side.n, g, opt.Exponent, side.other)
-			if err != nil {
-				return nil, fmt.Errorf("attack: modulus %d: %w", side.idx, err)
-			}
-			broken[side.idx] = bk
+			planned[side.idx] = true
+			jobs = append(jobs, side)
 		}
 	}
-	for _, bk := range broken {
-		rep.Broken = append(rep.Broken, bk)
+	var err error
+	if rep.Broken, err = recoverKeys(jobs, opt); err != nil {
+		return nil, err
 	}
-	sort.Slice(rep.Broken, func(i, j int) bool { return rep.Broken[i].Index < rep.Broken[j].Index })
 	recordOutcome(opt, rep)
 	return rep, nil
 }
@@ -285,14 +282,11 @@ func runBatch(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report, e
 	// identical moduli into classes and emit every pair within a class,
 	// matching what the all-pairs engine reports for the same corpus.
 	dupClass := map[string][]int{}
+	var jobs []keyJob
 	for _, f := range findings {
 		n := big_[f.Index]
 		if f.Factor.Cmp(n) < 0 {
-			bk, err := factorKey(f.Index, n, f.Factor, opt.Exponent, -1)
-			if err != nil {
-				return nil, fmt.Errorf("attack: modulus %d: %w", f.Index, err)
-			}
-			rep.Broken = append(rep.Broken, bk)
+			jobs = append(jobs, keyJob{f.Index, n, f.Factor, -1})
 		}
 		if f.DuplicateOf >= 0 {
 			key := n.Text(16)
@@ -306,7 +300,9 @@ func runBatch(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report, e
 			}
 		}
 	}
-	sort.Slice(rep.Broken, func(i, j int) bool { return rep.Broken[i].Index < rep.Broken[j].Index })
+	if rep.Broken, err = recoverKeys(jobs, opt); err != nil {
+		return nil, err
+	}
 	sort.Slice(rep.Duplicates, func(i, j int) bool {
 		if rep.Duplicates[i][0] != rep.Duplicates[j][0] {
 			return rep.Duplicates[i][0] < rep.Duplicates[j][0]
@@ -317,22 +313,71 @@ func runBatch(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report, e
 	return rep, nil
 }
 
-// factorKey turns a known non-trivial divisor into a BrokenKey, recovering
-// the private exponent when both factors are prime.
-func factorKey(idx int, n, g *big.Int, e uint64, other int) (BrokenKey, error) {
-	q, rem := new(big.Int).QuoRem(n, g, new(big.Int))
-	if rem.Sign() != 0 {
-		return BrokenKey{}, fmt.Errorf("gcd %v does not divide modulus", g)
+// keyJob is one broken key awaiting recovery: modulus n at index idx
+// and the non-trivial divisor g that revealed it, found together with
+// modulus other (-1 from the batch engine).
+type keyJob struct {
+	idx   int
+	n, g  *big.Int
+	other int
+}
+
+// recoverKeys turns the planned jobs, at most one per index, into the
+// report's Broken list ordered by index. The plan is serial: each
+// cofactor comes from one QuoRem, and a divisor that does not divide its
+// modulus fails the run naming the lowest such index. Each distinct
+// factor value is then tested once with ProbablyPrime(20), and D is
+// recovered for every key whose two factors both pass, both fanned out
+// on the work-stealing pool. The pool runs under context.Background: a
+// canceled scan still recovers every key its completed units broke.
+func recoverKeys(jobs []keyJob, opt Options) ([]BrokenKey, error) {
+	start := time.Now()
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].idx < jobs[b].idx })
+	var broken []BrokenKey
+	distinct := map[string]int{} // factor bytes -> slot in values
+	var values []*big.Int
+	slot := func(v *big.Int) int {
+		k := string(v.Bytes())
+		i, ok := distinct[k]
+		if !ok {
+			i = len(values)
+			distinct[k] = i
+			values = append(values, v)
+		}
+		return i
 	}
-	p := new(big.Int).Set(g)
-	if p.Cmp(q) > 0 {
-		p, q = q, p
+	factorSlots := make([][2]int, len(jobs))
+	for i, j := range jobs {
+		q, rem := new(big.Int).QuoRem(j.n, j.g, new(big.Int))
+		if rem.Sign() != 0 {
+			return nil, fmt.Errorf("attack: modulus %d: gcd %v does not divide modulus", j.idx, j.g)
+		}
+		p := new(big.Int).Set(j.g)
+		if p.Cmp(q) > 0 {
+			p, q = q, p
+		}
+		broken = append(broken, BrokenKey{Index: j.idx, N: j.n, P: p, Q: q, FoundWith: j.other})
+		factorSlots[i] = [2]int{slot(p), slot(q)}
 	}
-	bk := BrokenKey{Index: idx, N: n, P: p, Q: q, FoundWith: other}
-	if p.ProbablyPrime(20) && q.ProbablyPrime(20) {
-		if d, _, err := rsakey.RecoverPrivate(n, p, e); err == nil {
+
+	sp := opt.Trace.StartSpan("recover", "keys", len(jobs), "tests", len(values))
+	pool := engine.PoolOptions{Workers: opt.EffectiveWorkers()}
+	prime := make([]bool, len(values))
+	// Background is never canceled, so neither Run returns an error.
+	_ = engine.Run(context.Background(), len(values), pool, func(i, _ int) {
+		prime[i] = values[i].ProbablyPrime(20)
+	})
+	_ = engine.Run(context.Background(), len(broken), pool, func(i, _ int) {
+		bk := &broken[i]
+		if !prime[factorSlots[i][0]] || !prime[factorSlots[i][1]] {
+			return
+		}
+		if d, _, err := rsakey.RecoverPrivate(bk.N, bk.P, opt.Exponent); err == nil {
 			bk.D = d
 		}
-	}
-	return bk, nil
+	})
+	sp.End()
+	opt.Metrics.Counter("attack_primality_tests_total").Add(int64(len(values)))
+	opt.Metrics.Histogram("attack_recover_seconds", obs.DurationBuckets()).Observe(time.Since(start).Seconds())
+	return broken, nil
 }

@@ -245,6 +245,17 @@ func checkReportsIdentical(t *testing.T, a, b *Report) {
 	}
 }
 
+// checkFoundWithIdentical asserts two pairs or hybrid reports name the
+// same revealing partner for every broken key.
+func checkFoundWithIdentical(t *testing.T, a, b *Report) {
+	t.Helper()
+	for i := range a.Broken {
+		if a.Broken[i].FoundWith != b.Broken[i].FoundWith {
+			t.Fatalf("key %d: FoundWith %d vs %d", a.Broken[i].Index, a.Broken[i].FoundWith, b.Broken[i].FoundWith)
+		}
+	}
+}
+
 // TestDifferentialEnginesSubquadraticTiles drives the product-based
 // engines into math/big's subquadratic regime: on 80 keys of 256 bits
 // (4 words each), tiles of 24 or more moduli multiply halves past

@@ -46,14 +46,23 @@ func TestRunContextKillAndResume(t *testing.T) {
 	if !partial.Canceled {
 		t.Fatal("run completed before the cancel fired")
 	}
-	// Partial broken keys must be a subset of the clean report.
-	cleanBroken := map[int]bool{}
+	// Partial broken keys must be a subset of the clean report, each with
+	// the clean run's private exponent: key recovery runs after the
+	// engine and does not observe the canceled ctx.
+	cleanBroken := map[int]BrokenKey{}
 	for _, bk := range clean.Broken {
-		cleanBroken[bk.Index] = true
+		cleanBroken[bk.Index] = bk
+	}
+	if len(partial.Broken) == 0 {
+		t.Fatal("canceled run broke no keys; the recovery check below would be vacuous")
 	}
 	for _, bk := range partial.Broken {
-		if !cleanBroken[bk.Index] {
+		cb, ok := cleanBroken[bk.Index]
+		if !ok {
 			t.Fatalf("partial report broke key %d the clean run did not", bk.Index)
+		}
+		if bk.D == nil || cb.D == nil || bk.D.Cmp(cb.D) != 0 {
+			t.Fatalf("partial report key %d: D = %v, clean run %v", bk.Index, bk.D, cb.D)
 		}
 	}
 

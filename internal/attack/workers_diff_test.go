@@ -17,35 +17,37 @@ import (
 // drain in arbitrary interleavings). Each width runs the three engines
 // the scheduler now drives — all-pairs, hybrid cells, batch GCD's
 // tree levels — and every report must match the brute-force
-// math/big oracle and the width-1 report exactly.
+// math/big oracle and the width-1 report exactly, FoundWith included
+// wherever the engine defines it.
 func TestDifferentialWorkerCounts(t *testing.T) {
 	moduli := differentialCorpus(t, 77)
 	wantBroken, wantDups := naiveReference(moduli)
 
 	engines := []struct {
-		name string
-		opt  Options
+		name      string
+		opt       Options
+		foundWith bool // batch GCD has no revealing pair
 	}{
 		{"pairs", Options{
 			Algorithm: gcd.Approximate, Early: true,
 			Exponent: rsakey.DefaultExponent,
-		}},
+		}, true},
 		{"pairs-lanes", Options{
 			Algorithm: gcd.Approximate, Early: true,
 			Kernel: engine.KernelLanes, LaneWidth: 4,
 			Exponent: rsakey.DefaultExponent,
-		}},
+		}, true},
 		{"hybrid", Options{
 			Engine:    engine.Hybrid,
 			Algorithm: gcd.Approximate, Early: true, TileSize: 4,
 			Exponent: rsakey.DefaultExponent,
-		}},
+		}, true},
 		// The engine takes the corpus as mpnat Nats and converts it
 		// once to math/big, where its product and remainder trees run.
 		{"batch-nat", Options{
 			Engine:   engine.Batch,
 			Exponent: rsakey.DefaultExponent,
-		}},
+		}, false},
 	}
 
 	for _, eng := range engines {
@@ -66,6 +68,9 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 					checkReportsIdentical(t, base, rep)
+					if eng.foundWith {
+						checkFoundWithIdentical(t, base, rep)
+					}
 				})
 			}
 		})

@@ -18,6 +18,12 @@ import (
 // read one bound it themselves.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout closes a keep-alive connection that has sent no request
+// for this long, so abandoned `watch` clients do not pin a connection
+// and its goroutine forever. There is deliberately no WriteTimeout: it
+// would cut /jobs/<id>?wait=1 long-polls and pprof profiles mid-response.
+const idleTimeout = 2 * time.Minute
+
 // StatusServer serves the live view of a running scan:
 //
 //	GET /healthz              liveness: {"status":"ok","uptime_seconds":...}
@@ -115,7 +121,7 @@ func ServeStatusOptions(addr string, opts StatusOptions) (*StatusServer, error) 
 	for pattern, h := range opts.Handlers {
 		mux.Handle(pattern, h)
 	}
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() {
 		defer close(s.done)
 		_ = s.srv.Serve(ln) // returns ErrServerClosed on Close/Shutdown

@@ -226,3 +226,23 @@ func TestStatusServerShutdownDrains(t *testing.T) {
 		t.Fatal("listener still accepting after Shutdown")
 	}
 }
+
+// TestStatusServerTimeouts pins the server's connection bounds: request
+// headers and idle keep-alive connections are bounded, while writes are
+// not, so long-polls and pprof profiles can run as long as they need.
+func TestStatusServerTimeouts(t *testing.T) {
+	s, err := ServeStatus("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.srv.ReadHeaderTimeout != readHeaderTimeout || s.srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if s.srv.IdleTimeout != idleTimeout || s.srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", s.srv.IdleTimeout, idleTimeout)
+	}
+	if s.srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none (it would cut long-polls and profiles)", s.srv.WriteTimeout)
+	}
+}
